@@ -12,12 +12,13 @@ Exit codes: 0 success, 1 parse error, 2 indeterminate (budget or cap hit),
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .binomial_edge import initial_ideal
+from .binomial_edge import DEFAULT_PATH_CAP, initial_ideal
 from .graphs import Graph, GraphParseError, parse_edge_list, parse_graph6
 from .homology import (FieldSpec, QQ, DEFAULT_FACE_BUDGET,
                        DEFAULT_LATTICE_BUDGET)
@@ -129,9 +130,21 @@ def parse_input(text):
     raise GraphParseError(f"line 1: neither graph6 nor edge-list: {first!r}")
 
 
-def _analyze_one(g, cfg):
+def _cap_exceeded(g, cfg):
+    """The name of the cap a graph is over, or None if it is within both:
+    --max-n, and the admissible-path cap of the initial ideal."""
     if g.n > cfg.max_n:
-        return None
+        return "max-n"
+    if g.n > DEFAULT_PATH_CAP:
+        return "path-cap"
+    return None
+
+
+def _analyze_one(g, cfg):
+    cap = _cap_exceeded(g, cfg)
+    if cap:
+        return json.dumps({"budget": f"{cap} exceeded"},
+                          separators=(",", ":"))
     return report_json(analyze(g, cfg.field,
                                face_budget=cfg.face_budget,
                                lattice_budget=cfg.lattice_budget))
@@ -149,10 +162,6 @@ def cmd_analyze(args, out=sys.stdout):
         reports = list(pool.map(lambda g: _analyze_one(g, cfg), graphs))
     status = EXIT_OK
     for rep in reports:
-        if rep is None:
-            print('{"budget":"max-n exceeded"}', file=out)
-            status = EXIT_INDETERMINATE
-            continue
         print(rep, file=out)
         if '"budget"' in rep:
             status = EXIT_INDETERMINATE
@@ -192,8 +201,9 @@ def cmd_initial_ideal(args, out=sys.stdout):
     for k, g in enumerate(graphs):
         if k:
             print("", file=out)
-        if g.n > cfg.max_n:
-            print("# max-n exceeded", file=out)
+        cap = _cap_exceeded(g, cfg)
+        if cap:
+            print(f"# {cap} exceeded", file=out)
             status = EXIT_INDETERMINATE
             continue
         text = initial_ideal(g).to_text()

@@ -361,20 +361,17 @@ def _pd_from_subsets(ideal, subsets, field, best_seed=0):
 
 
 def _lcm_lattice(ideal, budget):
-    """Union-closure of the generator supports, plus the empty degree."""
+    """Union-closure of the generator supports, plus the empty degree.
+
+    Built one generator at a time: after g_1..g_k the set holds every
+    union of a subset of them, so each pass is one set comprehension.
+    The set only grows and ends at the lattice L, so BudgetExceeded is
+    raised exactly when |L| > budget. The set is unordered."""
     closure = {0}
-    frontier = set(ideal.gens)
-    while frontier:
-        closure |= frontier
+    for g in ideal.gens:
+        closure |= {c | g for c in closure}
         if len(closure) > budget:
             raise BudgetExceeded(f"lcm lattice exceeds budget {budget}")
-        nxt = set()
-        for w in frontier:
-            for g in ideal.gens:
-                u = w | g
-                if u not in closure:
-                    nxt.add(u)
-        frontier = nxt - closure
     return closure
 
 
@@ -503,6 +500,11 @@ def hochster_depth(ideal, field=QQ, budget=DEFAULT_LATTICE_BUDGET,
     stops the moment the two bounds meet; if they never do, the completed
     lattice scan is itself exact. On budget overflow the certified interval
     is reported as indeterminate instead of a guess.
+
+    The lattice is built up front, so its budget applies even when the
+    bounds meet before any scan, but it is sorted only when the first
+    scan runs, by the total key (-|W|, W): the witness is the first
+    (W, i) in that order and does not depend on set iteration order.
     """
     if ideal.is_unit():
         raise ValueError("unit ideal: the quotient ring is zero")
@@ -519,17 +521,29 @@ def hochster_depth(ideal, field=QQ, budget=DEFAULT_LATTICE_BUDGET,
     pd_lb = n - min(bin(f).count("1") for f in cx.facets)
     depth_lb = _depth_lower_bound(ideal)
     witness = None
-    by_size = sorted(lattice, key=lambda m: -bin(m).count("1"))
-    max_size = bin(by_size[0]).count("1") if by_size else 0
+    # the lattice's top element is the union of all generators
+    top = 0
+    for g in ideal.gens:
+        top |= g
+    max_size = bin(top).count("1")
+    by_size = []
     counter = [0]
 
     def scan_degree(i, pd_lb, witness):
+        if not by_size:
+            by_size.extend(sorted(lattice,
+                                  key=lambda m: (-bin(m).count("1"), m)))
         for w in by_size:
             size = bin(w).count("1")
             if size < pd_lb + i + 2:
                 break   # sorted descending; nothing below can improve
-            if _homology_rank_at(_restricted_facets(cx, w), field, i,
-                                 counter, face_budget):
+            if i <= 0:
+                # H~_-1 and H~_0 see only vertices and edges, so the
+                # restricted faces need no antichain pass
+                facets = tuple({f & w for f in cx.facets})
+            else:
+                facets = _restricted_facets(cx, w)
+            if _homology_rank_at(facets, field, i, counter, face_budget):
                 if size - i - 1 > pd_lb:
                     pd_lb = size - i - 1
                     witness = (w, i)

@@ -78,16 +78,17 @@ class TheoremVerdict:
 
 
 def cm_check(g, field=QQ, face_budget=DEFAULT_FACE_BUDGET,
-             use_filters=True):
+             use_filters=True, *, _cutsets=None):
     """Cohen-Macaulayness of the binomial edge ideal, decided on the
     square-free initial ideal through the Reisner criterion.
 
     Pre-filters: not unmixed => not CM (cutset witness); not accessible =>
     not CM (known necessity; disable with use_filters=False to force the
-    homological route).
+    homological route). ``_cutsets`` lets a caller that has already
+    enumerated the cutsets of g hand them over instead.
     """
     if use_filters:
-        cuts = cs.enumerate_cutsets(g)
+        cuts = cs.enumerate_cutsets(g) if _cutsets is None else _cutsets
         unm = cs.is_unmixed(g, cutsets=cuts)
         if not unm.unmixed:
             w = unm.witness
@@ -118,7 +119,7 @@ def analyze(g, field=QQ, with_depth=True,
     cuts = cs.enumerate_cutsets(g)
     unm = cs.is_unmixed(g, cutsets=cuts)
     acc = cs.is_accessible(g, cutsets=cuts)
-    cert = cm_check(g, field, face_budget)
+    cert = cm_check(g, field, face_budget, _cutsets=cuts)
     depth = None
     if with_depth:
         dr = depth_JG(g, field, lattice_budget)
@@ -342,9 +343,10 @@ def verify_girth_theorem(corpus, field=QQ, corpus_name=""):
         count += 1
         gi = girth(g)
         ok = gi in (3, 4, INFINITY)
-        if cs.is_accessible(g).accessible and not ok:
+        cuts = cs.enumerate_cutsets(g)
+        if cs.is_accessible(g, cutsets=cuts).accessible and not ok:
             violations.append((emit_graph6(g), f"accessible-girth={gi}"))
-        if cm_check(g, field).is_cm and not ok:
+        if cm_check(g, field, _cutsets=cuts).is_cm and not ok:
             violations.append((emit_graph6(g), f"cm-girth={gi}"))
     return TheoremVerdict("girth", corpus_name, count, tuple(violations))
 

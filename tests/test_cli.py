@@ -65,6 +65,18 @@ def test_analyze_max_n_indeterminate():
     assert "max-n" in lines[1]
 
 
+def test_analyze_over_path_cap_is_indeterminate():
+    # 15 vertices is within the default --max-n (16) but over the
+    # admissible-path cap (14) of the initial ideal
+    path15 = "15 14\n" + "".join(f"{v} {v + 1}\n" for v in range(1, 15))
+    code, out, err = run_cli(["analyze", "-"], stdin=path15)
+    assert code == 2, err
+    assert json.loads(out) == {"budget": "path-cap exceeded"}
+    code, out, err = run_cli(["initial-ideal", "-"], stdin=path15)
+    assert code == 2, err
+    assert out.strip() == "# path-cap exceeded"
+
+
 def test_verify_girth_small_corpus():
     code, out, err = run_cli(["verify", "girth", "-"],
                              stdin="Bg\nC~\nDhc\n")

@@ -1,14 +1,17 @@
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from beilab.binomial_edge import initial_ideal
 from beilab.graphs import complete_graph, cycle_graph, path_graph
-from beilab.homology import (FieldSpec, QQ, brute_depth_oracle,
-                             depth_splitting_check, hochster_depth,
-                             reduced_homology_ranks, reisner_cm)
+from beilab.homology import (BudgetExceeded, FieldSpec, QQ, _lcm_lattice,
+                             brute_depth_oracle, depth_splitting_check,
+                             hochster_depth, reduced_homology_ranks,
+                             reduced_ranks_from_facets, reisner_cm)
 from beilab.monomials import MonomialIdeal, SimplicialComplex, stanley_reisner
 
 
@@ -135,3 +138,39 @@ def test_budget_indeterminate():
     assert r.indeterminate and r.depth is None
     c = reisner_cm(stanley_reisner(i), face_budget=2)
     assert c.indeterminate and c.is_cm is None
+
+
+def test_lcm_lattice_is_union_closure_with_exact_budget():
+    rng = random.Random(2718)
+    for _ in range(40):
+        nv = rng.randint(2, 12)
+        i = MonomialIdeal.make(nv, [rng.randrange(1, 1 << nv)
+                                    for _ in range(rng.randint(1, 8))])
+        brute = {reduce(or_, (g for k, g in enumerate(i.gens) if sub >> k & 1), 0)
+                 for sub in range(1 << len(i.gens))}
+        assert _lcm_lattice(i, len(brute)) == brute
+        with pytest.raises(BudgetExceeded):
+            _lcm_lattice(i, len(brute) - 1)
+
+
+def test_hochster_witness_certifies_pd():
+    # quadratic generators: the squeeze then often needs a lattice scan,
+    # so witnesses occur (most random ideals close on the bounds alone)
+    rng = random.Random(1618)
+    checked = 0
+    for _ in range(300):
+        nv = rng.randint(4, 10)
+        i = MonomialIdeal.make(nv, [sum(1 << b for b in rng.sample(range(nv), 2))
+                                    for _ in range(rng.randint(2, 12))])
+        r = hochster_depth(i)
+        assert not r.indeterminate
+        assert r.depth == brute_depth_oracle(i).depth
+        if r.witness is None:
+            continue
+        w, deg = r.witness
+        assert w in _lcm_lattice(i, 1 << nv)
+        faces = {f & w for f in stanley_reisner(i).facets}
+        assert reduced_ranks_from_facets(faces, QQ).get(deg, 0) > 0
+        assert r.pd == bin(w).count("1") - deg - 1
+        checked += 1
+    assert checked >= 10

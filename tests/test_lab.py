@@ -138,3 +138,20 @@ def test_neighborhood_cutset_exists_matches_brute():
                 for k in range(gv.n + 1)
                 for t in itertools.combinations(gv.vertices(), k))
             assert lab.neighborhood_cutset_exists(g, v) == brute
+
+
+def test_analyze_enumerates_cutsets_once(monkeypatch, fig):
+    calls = []
+    real = lab.cs.enumerate_cutsets
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(lab.cs, "enumerate_cutsets", counting)
+    # the example graph stops at the unmixedness filter; the path reaches
+    # Reisner
+    for g in (fig, path_graph(4)):
+        calls.clear()
+        lab.analyze(g)
+        assert len(calls) == 1
