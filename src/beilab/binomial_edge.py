@@ -118,12 +118,8 @@ def path_monomial(path, n):
     return mask
 
 
-def initial_ideal(g, nvars=None, cap=DEFAULT_PATH_CAP):
-    """in(J_G) from the admissible paths of g. ``nvars`` lets the ideal be
-    placed in a larger ambient universe whose first n positions are the x's
-    of 1..n is NOT supported; the universe is always 2n for n = g.n unless
-    an explicit (even) nvars >= 2*g.n embedding by index is requested via
-    initial_ideal_on."""
+def initial_ideal(g, cap=DEFAULT_PATH_CAP):
+    """in(J_G) in the 2n-variable universe, from the admissible paths of g."""
     paths = admissible_paths(g, cap)
     n = g.n
     masks = [path_monomial(p, n) for p in paths]

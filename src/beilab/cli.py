@@ -5,8 +5,9 @@ Subcommands:
   verify         run a theorem verifier over a graph corpus
   initial-ideal  print the square-free initial ideal generators
 
-Exit codes: 0 success, 1 parse error, 2 indeterminate (budget or cap hit),
-3 hypothesis-relevant findings only, 64 unknown theorem id.
+Exit codes: 0 success, 1 parse error or violation, 2 indeterminate (budget
+or cap hit), 3 hypothesis-relevant findings only, 64 unknown theorem id;
+a violation beats indeterminate, which beats findings.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .binomial_edge import DEFAULT_PATH_CAP, initial_ideal
 from .graphs import Graph, GraphParseError, parse_edge_list, parse_graph6
@@ -179,12 +180,16 @@ def cmd_verify(args, out=sys.stdout):
     except (GraphParseError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
-    graphs = [g for g in graphs if g.n <= cfg.max_n]
-    verdict = VERIFIERS[args.theorem](graphs, cfg.field,
+    within = [g for g in graphs if not _cap_exceeded(g, cfg)]
+    verdict = VERIFIERS[args.theorem](within, cfg.field,
                                       corpus_name=args.corpus)
+    verdict = replace(verdict, indeterminate=verdict.indeterminate
+                      + len(graphs) - len(within))
     print(verdict.to_json(), file=out)
     if verdict.violations:
         return EXIT_PARSE  # hard failure, never hypothesis-relevant
+    if verdict.indeterminate:
+        return EXIT_INDETERMINATE
     if verdict.hypothesis_relevant or verdict.findings:
         return EXIT_HYPOTHESIS
     return EXIT_OK

@@ -35,9 +35,9 @@ QQ = FieldSpec(0)
 
 @dataclass(frozen=True)
 class CMCertificate:
-    is_cm: bool
+    is_cm: bool | None             # None = indeterminate
     field: FieldSpec
-    witness: tuple | None = None   # (face mask, degree i) of a bad link
+    witness: tuple | None = None   # reisner_cm: (face mask, degree i)
     indeterminate: bool = False
 
 
@@ -126,22 +126,8 @@ def _rank(rows, field):
 def _faces_by_dim(facets):
     """dict k -> sorted list of k-faces (masks), from a facet list."""
     by_dim = {}
-    seen = set()
-    frontier = set(facets)
-    while frontier:
-        for f in frontier:
-            by_dim.setdefault(bin(f).count("1") - 1, set()).add(f)
-        seen |= frontier
-        nxt = set()
-        for f in frontier:
-            b = f
-            while b:
-                low = b & -b
-                sub = f & ~low
-                if sub not in seen:
-                    nxt.add(sub)
-                b &= b - 1
-        frontier = nxt - seen
+    for f in SimplicialComplex(max(facets).bit_length(), facets).faces():
+        by_dim.setdefault(bin(f).count("1") - 1, []).append(f)
     return {k: sorted(v) for k, v in by_dim.items()}
 
 
@@ -312,8 +298,7 @@ def reisner_cm(cx, field=QQ, face_budget=DEFAULT_FACE_BUDGET):
         _budget_check(cx.facets, face_budget)
         faces = sorted(cx.faces(), key=lambda f: (bin(f).count("1"), f))
         for sigma in faces:
-            link = [f & ~sigma for f in cx.facets if f & sigma == sigma]
-            link = tuple(sorted(_maximalize(link)))
+            link = cx.link(sigma).facets
             dim_link = max(bin(f).count("1") for f in link) - 1
             if dim_link <= 0:
                 continue  # dimension <= 0 complexes are always CM
@@ -324,14 +309,6 @@ def reisner_cm(cx, field=QQ, face_budget=DEFAULT_FACE_BUDGET):
     except BudgetExceeded:
         return CMCertificate(None, field, indeterminate=True)
     return CMCertificate(True, field)
-
-
-def _maximalize(masks):
-    out = []
-    for m in sorted(set(masks), key=lambda x: -bin(x).count("1")):
-        if not any(m & k == m for k in out):
-            out.append(m)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +327,7 @@ def _pd_from_subsets(ideal, subsets, field, best_seed=0):
         max_deg = size - best - 2
         if max_deg < -1:
             continue
-        induced = tuple(sorted(_maximalize([f & w for f in cx.facets])))
+        induced = cx.restrict(w).facets
         ranks = reduced_ranks_up_to(induced, field, max_deg)
         for i in sorted(ranks):
             if ranks[i] and size - i - 1 > best:
@@ -419,10 +396,6 @@ def _depth_lower_bound(ideal, topk=1):
                                _depth_lower_bound(plus, topk)))
     _DEPTH_LB_MEMO[key] = out
     return out
-
-
-def _restricted_facets(cx, w):
-    return tuple(sorted(_maximalize([f & w for f in cx.facets])))
 
 
 def _h0_rank(facets):
@@ -542,7 +515,7 @@ def hochster_depth(ideal, field=QQ, budget=DEFAULT_LATTICE_BUDGET,
                 # restricted faces need no antichain pass
                 facets = tuple({f & w for f in cx.facets})
             else:
-                facets = _restricted_facets(cx, w)
+                facets = cx.restrict(w).facets
             if _homology_rank_at(facets, field, i, counter, face_budget):
                 if size - i - 1 > pd_lb:
                     pd_lb = size - i - 1

@@ -2,25 +2,25 @@
 
 The verifiers deliberately keep the hypothesis side and the conclusion
 side on independent computation paths: unmixedness always goes through the
-cutset lattice, Cohen-Macaulayness through initial ideals and homology.
+cutset lattice, Cohen-Macaulayness through the depth of the initial ideal.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
 from . import cutsets as cs
-from . import monomials as mono
-from .binomial_edge import initial_ideal, ass_initial
-from .graphs import (Graph, add_whisker, blocks, block_with_whiskers,
-                     connected_components, cut_vertices, decompose_at,
-                     delete_vertices, emit_graph6, girth, glue_at,
-                     induced_cycle_lengths, is_connected, is_free_vertex,
-                     saturate, INFINITY)
-from .homology import (QQ, CMCertificate, DepthResult, FieldSpec,
-                       hochster_depth, reisner_cm,
+from .binomial_edge import initial_ideal
+from .graphs import (add_whisker, blocks, block_with_whiskers, cut_vertices,
+                     decompose_at, delete_vertices, emit_graph6, girth,
+                     glue_at, induced_cycle_lengths, is_connected,
+                     is_free_vertex, saturate, INFINITY)
+from .homology import (QQ, CMCertificate, FieldSpec, hochster_depth,
                        DEFAULT_FACE_BUDGET, DEFAULT_LATTICE_BUDGET)
+# an oracle, not called here: bench/spans.py wraps lab.reisner_cm
+from .homology import reisner_cm  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -62,6 +62,7 @@ class TheoremVerdict:
     hypothesis_relevant: tuple = ()    # candidate counterexamples to the open
                                        # hypothesis, not engine failures
     findings: tuple = ()               # search outputs (expected empty)
+    indeterminate: int = 0             # answers out of budget, or over a cap
 
     def clean(self):
         return not self.violations
@@ -74,33 +75,47 @@ class TheoremVerdict:
             "violations": list(self.violations),
             "hypothesis_relevant": list(self.hypothesis_relevant),
             "findings": list(self.findings),
+            "indeterminate": self.indeterminate,
         }, sort_keys=True, separators=(",", ":"))
 
 
-def cm_check(g, field=QQ, face_budget=DEFAULT_FACE_BUDGET,
-             use_filters=True, *, _cutsets=None):
-    """Cohen-Macaulayness of the binomial edge ideal, decided on the
-    square-free initial ideal through the Reisner criterion.
-
-    Pre-filters: not unmixed => not CM (cutset witness); not accessible =>
-    not CM (known necessity; disable with use_filters=False to force the
-    homological route). ``_cutsets`` lets a caller that has already
-    enumerated the cutsets of g hand them over instead.
-    """
-    if use_filters:
-        cuts = cs.enumerate_cutsets(g) if _cutsets is None else _cutsets
-        unm = cs.is_unmixed(g, cutsets=cuts)
+def _cm_certificate(field, unm, acc, depth):
+    """The one CM decision: the filters (skipped when ``acc`` is None),
+    then depth == dim, with ``depth()`` the DepthResult of S/in(J_G)."""
+    if acc is not None:
         if not unm.unmixed:
             w = unm.witness
             return CMCertificate(False, field,
                                  witness=("unmixedness", tuple(sorted(w.vertices)), w.c))
-        acc = cs.is_accessible(g, cutsets=cuts)
         if not acc.accessible:
             return CMCertificate(False, field,
                                  witness=("accessibility",
                                           tuple(sorted(acc.witness.vertices))))
-    cx = mono.stanley_reisner(initial_ideal(g))
-    return reisner_cm(cx, field, face_budget)
+    dr = depth()
+    if dr.indeterminate:
+        return CMCertificate(None, field, indeterminate=True)
+    if dr.depth == unm.dim:
+        return CMCertificate(True, field)
+    return CMCertificate(False, field, witness=("depth", dr.depth, unm.dim))
+
+
+def cm_check(g, field=QQ, face_budget=DEFAULT_FACE_BUDGET,
+             use_filters=True, *, _cutsets=None):
+    """Cohen-Macaulayness of the binomial edge ideal: depth == dim, where
+    in(J_G) is square-free, so S/J_G and S/in(J_G) share depth and
+    dimension (Conca-Varbaro), and the depth is the Hochster squeeze's.
+
+    Pre-filters: not unmixed => not CM (cutset witness); not accessible =>
+    not CM (known necessity; disable with use_filters=False to force the
+    depth route). Otherwise not CM has the witness ("depth", depth, dim),
+    and a depth out of budget gives is_cm None. ``_cutsets`` lets a caller
+    that has already enumerated the cutsets of g hand them over instead.
+    """
+    cuts = cs.enumerate_cutsets(g) if _cutsets is None else _cutsets
+    unm = cs.is_unmixed(g, cutsets=cuts)
+    acc = cs.is_accessible(g, cutsets=cuts) if use_filters else None
+    return _cm_certificate(field, unm, acc, lambda: hochster_depth(
+        initial_ideal(g), field, face_budget=face_budget))
 
 
 def dim_JG(g):
@@ -119,11 +134,11 @@ def analyze(g, field=QQ, with_depth=True,
     cuts = cs.enumerate_cutsets(g)
     unm = cs.is_unmixed(g, cutsets=cuts)
     acc = cs.is_accessible(g, cutsets=cuts)
-    cert = cm_check(g, field, face_budget, _cutsets=cuts)
-    depth = None
-    if with_depth:
-        dr = depth_JG(g, field, lattice_budget)
-        depth = None if dr.indeterminate else dr.depth
+    # one depth per graph, shared by the CM verdict and the report
+    depth = functools.cache(lambda: hochster_depth(
+        initial_ideal(g), field, lattice_budget, face_budget))
+    cert = _cm_certificate(field, unm, acc, depth)
+    dr = depth() if with_depth else None
     bd = blocks(g) if is_connected(g) and g.n else None
     return AnalysisReport(
         graph6=emit_graph6(g),
@@ -138,10 +153,10 @@ def analyze(g, field=QQ, with_depth=True,
         accessible=acc.accessible,
         accessible_witness=(tuple(sorted(acc.witness.vertices))
                             if acc.witness else None),
-        cm=None if cert.indeterminate else cert.is_cm,
+        cm=cert.is_cm,
         cm_witness=cert.witness,
         field_char=field.characteristic,
-        depth=depth,
+        depth=None if dr is None or dr.indeterminate else dr.depth,
         dim=unm.dim)
 
 
@@ -178,6 +193,22 @@ def _jsonable(x):
 # ---------------------------------------------------------------------------
 # theorem verifiers
 
+@dataclass
+class _CMTally:
+    """cm_check(g).is_cm in one verifier run; counts the None answers,
+    which the run's verdict reports as indeterminate."""
+    field: FieldSpec
+    indeterminate: int = 0
+
+    def __call__(self, g, **kw):
+        is_cm = cm_check(g, self.field, **kw).is_cm
+        self.indeterminate += is_cm is None
+        return is_cm
+
+    def verdict(self, *args, **kw):
+        return TheoremVerdict(*args, indeterminate=self.indeterminate, **kw)
+
+
 def _two_sided_splits(g):
     """(v, g1, g2) for every cut vertex v, with the two sides as graphs
     carrying v as their largest/smallest label respectively."""
@@ -192,16 +223,17 @@ def _two_sided_splits(g):
 
 def verify_prop_saturation(corpus, field=QQ, corpus_name=""):
     """CM(J_G) implies CM(J_{G_v}) for every vertex v."""
+    cm = _CMTally(field)
     violations = []
     count = 0
     for g in corpus:
-        if not cm_check(g, field).is_cm:
+        if not cm(g):
             continue
         for v in g.vertices():
             count += 1
-            if not cm_check(saturate(g, v), field).is_cm:
+            if cm(saturate(g, v)) is False:
                 violations.append((emit_graph6(g), f"v={v}"))
-    return TheoremVerdict("saturation", corpus_name, count, tuple(violations))
+    return cm.verdict("saturation", corpus_name, count, tuple(violations))
 
 
 def verify_deletion_lemmas(corpus, field=QQ, corpus_name=""):
@@ -216,16 +248,16 @@ def verify_deletion_lemmas(corpus, field=QQ, corpus_name=""):
     Plus, for non-cut vertices: unmixed(G_v) and unmixed(G - v) =>
     unmixed(G_v - v).
     """
+    cm = _CMTally(field)
     violations = []
     count = 0
     for g in corpus:
         g6 = emit_graph6(g)
         g_unmixed = cs.is_unmixed(g).unmixed
-        g_cm = cm_check(g, field).is_cm if g_unmixed else False
+        g_cm = cm(g) if g_unmixed else False
         for v, dec in _two_sided_splits(g):
             count += 1
             m = dec.m
-            gp = dec.graph
             g1, g2 = dec.g1(), dec.g2()
             free1 = is_free_vertex(g1, m)
             free2 = is_free_vertex(g2, 1)
@@ -234,24 +266,23 @@ def verify_deletion_lemmas(corpus, field=QQ, corpus_name=""):
                 if not cs.is_unmixed(del_v).unmixed:
                     violations.append((g6, f"lem-deletion-unmixed v={v}"))
             if g_cm:
+                del_cm = cm(del_v)
+                gv = saturate(g, v)
+                gv_del_cm = cm(delete_vertices(gv, [v])[0])
                 if not free1 and not free2:
-                    if not cm_check(del_v, field).is_cm:
+                    if del_cm is False:
                         violations.append((g6, f"lem-deletion-cm v={v}"))
-                    gv = saturate(g, v)
-                    if not cm_check(gv, field).is_cm:
+                    if cm(gv) is False:
                         violations.append((g6, f"cor-saturation-cm v={v}"))
-                    gv_del, _ = delete_vertices(gv, [v])
-                    if not cm_check(gv_del, field).is_cm:
+                    if gv_del_cm is False:
                         violations.append((g6, f"cor-sat-deletion-cm v={v}"))
                 # CM of both sides' saturations, unconditionally under CM(G)
-                if not cm_check(saturate(g1, m), field).is_cm:
+                if cm(saturate(g1, m)) is False:
                     violations.append((g6, f"prop-side-saturation g1 v={v}"))
-                if not cm_check(saturate(g2, 1), field).is_cm:
+                if cm(saturate(g2, 1)) is False:
                     violations.append((g6, f"prop-side-saturation g2 v={v}"))
-                if cm_check(del_v, field).is_cm:
-                    gv_del, _ = delete_vertices(saturate(g, v), [v])
-                    if not cm_check(gv_del, field).is_cm:
-                        violations.append((g6, f"prop-sat-del-cm v={v}"))
+                if del_cm and gv_del_cm is False:
+                    violations.append((g6, f"prop-sat-del-cm v={v}"))
         # non-cut-vertex unmixedness transfer
         for v in g.vertices():
             if v in cut_vertices(g) or g.degree(v) == 0:
@@ -263,7 +294,7 @@ def verify_deletion_lemmas(corpus, field=QQ, corpus_name=""):
                 gv_del, _ = delete_vertices(gv, [v])
                 if not cs.is_unmixed(gv_del).unmixed:
                     violations.append((g6, f"lem-sat-del-unmixed v={v}"))
-    return TheoremVerdict("deletion", corpus_name, count, tuple(violations))
+    return cm.verdict("deletion", corpus_name, count, tuple(violations))
 
 
 def whiskered_sides(g, v):
@@ -285,6 +316,7 @@ def verify_gluing_theorems(corpus, field=QQ, corpus_name="",
     failures of the converse are reported as hypothesis-relevant, never as
     violations.
     """
+    cm = _CMTally(field)
     violations = []
     hypo = []
     count = 0
@@ -293,31 +325,31 @@ def verify_gluing_theorems(corpus, field=QQ, corpus_name="",
         cuts = sorted(cut_vertices(g))
         if not cuts:
             continue
-        g_cm = cm_check(g, field).is_cm
+        g_cm = cm(g)
         for v in cuts:
             count += 1
             w1, w2 = whiskered_sides(g, v)
-            sides_cm = (cm_check(w1, field).is_cm and
-                        cm_check(w2, field).is_cm)
-            if g_cm and not sides_cm:
+            sides_cm = cm(w1) and cm(w2)    # None when not known
+            if g_cm and sides_cm is False:
                 violations.append((g6, f"forward-whisker v={v}"))
             if check_converse and sides_cm and cs.is_unmixed(g).unmixed:
-                if not g_cm:
+                if g_cm is False:
                     hypo.append((g6, f"converse-whisker v={v}"))
         if g_cm:
             bd = blocks(g)
             for b in bd.blocks:
                 count += 1
                 bw = block_with_whiskers(g, b, bd.cut_vertices & b)
-                if not cm_check(bw, field).is_cm:
+                if cm(bw) is False:
                     violations.append((g6, f"block-whiskers B={sorted(b)}"))
-    return TheoremVerdict("gluing", corpus_name, count, tuple(violations),
-                          hypothesis_relevant=tuple(hypo))
+    return cm.verdict("gluing", corpus_name, count, tuple(violations),
+                       hypothesis_relevant=tuple(hypo))
 
 
 def verify_blocks_corollary(corpus, field=QQ, corpus_name=""):
     """Converse blocks corollary: unmixed(G) and all blocks-with-whiskers CM
     => CM(G); conditional, so failures are hypothesis-relevant."""
+    cm = _CMTally(field)
     hypo = []
     count = 0
     for g in corpus:
@@ -327,16 +359,17 @@ def verify_blocks_corollary(corpus, field=QQ, corpus_name=""):
         if not bd.cut_vertices:
             continue
         count += 1
-        if all(cm_check(block_with_whiskers(g, b, bd.cut_vertices & b),
-                        field).is_cm for b in bd.blocks):
-            if not cm_check(g, field).is_cm:
+        if all(cm(block_with_whiskers(g, b, bd.cut_vertices & b))
+               for b in bd.blocks):
+            if cm(g) is False:
                 hypo.append((emit_graph6(g), "blocks-converse"))
-    return TheoremVerdict("blocks", corpus_name, count, (),
-                          hypothesis_relevant=tuple(hypo))
+    return cm.verdict("blocks", corpus_name, count, (),
+                       hypothesis_relevant=tuple(hypo))
 
 
 def verify_girth_theorem(corpus, field=QQ, corpus_name=""):
     """Every CM graph, and every accessible graph, has girth in {3,4,inf}."""
+    cm = _CMTally(field)
     violations = []
     count = 0
     for g in corpus:
@@ -346,14 +379,14 @@ def verify_girth_theorem(corpus, field=QQ, corpus_name=""):
         cuts = cs.enumerate_cutsets(g)
         if cs.is_accessible(g, cutsets=cuts).accessible and not ok:
             violations.append((emit_graph6(g), f"accessible-girth={gi}"))
-        if cm_check(g, field, _cutsets=cuts).is_cm and not ok:
+        if cm(g, _cutsets=cuts) and not ok:
             violations.append((emit_graph6(g), f"cm-girth={gi}"))
-    return TheoremVerdict("girth", corpus_name, count, tuple(violations))
+    return cm.verdict("girth", corpus_name, count, tuple(violations))
 
 
 def glue_pairs_cm(g, v, h, w, field=QQ):
     """The four cross-gluings of the sides of (g, v) and (h, w); returns
-    list of (label, graph, cm)."""
+    list of (label, graph, cm), with cm None when indeterminate."""
     dg = decompose_at(g, v)
     dh = decompose_at(h, w)
     if isinstance(dg, str) or isinstance(dh, str):
@@ -372,10 +405,11 @@ def verify_identification(corpus_pairs, field=QQ, corpus_name=""):
     """Composite gluing corollary: for CM graphs G, H with cut vertices v, w
     whose deletions are unmixed, every cross-gluing F_ij is CM (conditional
     => hypothesis-relevant on failure)."""
+    cm = _CMTally(field)
     hypo = []
     count = 0
     for (g, v), (h, w) in corpus_pairs:
-        if not (cm_check(g, field).is_cm and cm_check(h, field).is_cm):
+        if not (cm(g) and cm(h)):
             continue
         dgv, _ = delete_vertices(g, [v])
         dhw, _ = delete_vertices(h, [w])
@@ -383,10 +417,11 @@ def verify_identification(corpus_pairs, field=QQ, corpus_name=""):
             continue
         count += 1
         for label, f, is_cm in glue_pairs_cm(g, v, h, w, field):
-            if not is_cm:
+            cm.indeterminate += is_cm is None
+            if is_cm is False:
                 hypo.append((emit_graph6(f), f"{label} not CM"))
-    return TheoremVerdict("identification", corpus_name, count, (),
-                          hypothesis_relevant=tuple(hypo))
+    return cm.verdict("identification", corpus_name, count, (),
+                       hypothesis_relevant=tuple(hypo))
 
 
 def hypothesis_search(corpus, field=QQ, corpus_name="",
@@ -394,27 +429,26 @@ def hypothesis_search(corpus, field=QQ, corpus_name="",
     """Scan for counterexamples to the open deletion hypothesis and for CM
     girth-4 graphs carrying a long induced cycle. Findings are search
     outputs; an empty result is the expected (reportable) outcome."""
+    cm = _CMTally(field)
     findings = []
     count = 0
     for g in corpus:
         g6 = emit_graph6(g)
-        cm_g = None
+        cm_g = functools.cache(lambda g=g: cm(g))
         for v in sorted(cut_vertices(g)):
             count += 1
             del_v, _ = delete_vertices(g, [v])
             if not cs.is_unmixed(del_v).unmixed:
                 continue
-            if cm_g is None:
-                cm_g = cm_check(g, field).is_cm
-            if cm_g and not cm_check(del_v, field).is_cm:
+            if cm_g() and cm(del_v) is False:
                 findings.append((g6, f"hypothesis-counterexample v={v}"))
         if girth4_scan and girth(g) == 4:
             count += 1
             if any(l >= 5 for l in induced_cycle_lengths(g)):
-                if cm_check(g, field).is_cm:
+                if cm_g():
                     findings.append((g6, "cm-girth4-long-induced-cycle"))
-    return TheoremVerdict("hypothesis", corpus_name, count, (),
-                          findings=tuple(findings))
+    return cm.verdict("hypothesis", corpus_name, count, (),
+                       findings=tuple(findings))
 
 
 @dataclass(frozen=True)
@@ -480,8 +514,9 @@ def verify_depth_equality(corpus, field=QQ, corpus_name="",
                           budget=DEFAULT_LATTICE_BUDGET):
     """Survey the additive depth formula at every cut vertex. The equality
     is known to fail in general, so inequalities are findings, not
-    violations; indeterminate (budget) outcomes are findings too."""
+    violations; indeterminate (budget) outcomes are counted apart."""
     findings = []
+    indeterminate = 0
     count = 0
     for g in corpus:
         g6 = emit_graph6(g)
@@ -491,11 +526,12 @@ def verify_depth_equality(corpus, field=QQ, corpus_name="",
             count += 1
             rec = depth_equality_check(g, v, field, budget)
             if rec.equal is None:
-                findings.append((g6, f"v={v} indeterminate"))
+                indeterminate += 1
             elif not rec.equal:
                 findings.append((g6, f"v={v} lhs={rec.lhs} rhs={rec.rhs}"))
     return TheoremVerdict("depth-equality", corpus_name, count, (),
-                          findings=tuple(findings))
+                          findings=tuple(findings),
+                          indeterminate=indeterminate)
 
 
 VERIFIERS = {

@@ -28,12 +28,20 @@ def mask_name(mask, n):
     return "*".join(var_name(b, n) for b in bits) if bits else "1"
 
 
-def _minimalize_masks(masks):
-    """Divisibility antichain of a set of square-free monomial masks."""
-    masks = sorted(set(masks))
+def min_antichain(masks):
+    """The inclusion-minimal masks of a collection, as a sorted tuple."""
     out = []
-    for m in masks:
+    for m in sorted(set(masks)):    # a subset sorts before its supersets
         if not any(k & m == k for k in out):
+            out.append(m)
+    return tuple(out)
+
+
+def max_antichain(masks):
+    """The inclusion-maximal masks of a collection, as a sorted tuple."""
+    out = []
+    for m in sorted(set(masks), key=lambda m: -bin(m).count("1")):
+        if not any(m & k == m for k in out):
             out.append(m)
     return tuple(sorted(out))
 
@@ -51,7 +59,7 @@ class MonomialIdeal:
         for m in masks:
             if m >> nvars:
                 raise ValueError("generator outside the variable universe")
-        return MonomialIdeal(nvars, _minimalize_masks(masks))
+        return MonomialIdeal(nvars, min_antichain(masks))
 
     def is_zero(self):
         return not self.gens
@@ -66,10 +74,6 @@ class MonomialIdeal:
         """One generator per line as sorted variable names ('x1*y2')."""
         n = n if n is not None else self.nvars // 2
         return "\n".join(mask_name(g, n) for g in self.gens)
-
-
-def minimalize(nvars, masks):
-    return MonomialIdeal.make(nvars, masks)
 
 
 def colon(ideal, mask):
@@ -128,16 +132,7 @@ def minimal_primes(ideal):
         results.append(cover)
 
     search(0, 0)
-    return tuple(sorted(_minimal_sets(results)))
-
-
-def _minimal_sets(masks):
-    masks = sorted(set(masks), key=lambda m: (bin(m).count("1"), m))
-    out = []
-    for m in masks:
-        if not any(k & m == k for k in out):
-            out.append(m)
-    return out
+    return min_antichain(results)
 
 
 @dataclass(frozen=True)
@@ -154,7 +149,7 @@ class SimplicialComplex:
 
     @staticmethod
     def make(nverts, masks):
-        return SimplicialComplex(nverts, tuple(sorted(_maximal_sets(masks))))
+        return SimplicialComplex(nverts, max_antichain(masks))
 
     def is_void(self):
         return not self.facets
@@ -192,15 +187,6 @@ class SimplicialComplex:
         return seen
 
 
-def _maximal_sets(masks):
-    masks = sorted(set(masks), key=lambda m: (-bin(m).count("1"), m))
-    out = []
-    for m in masks:
-        if not any(m & k == m for k in out):
-            out.append(m)
-    return out
-
-
 def stanley_reisner(ideal):
     """Stanley-Reisner complex of a proper square-free ideal.
 
@@ -227,4 +213,4 @@ def minimal_primes_by_faces(ideal):
     for w in range(full + 1):
         if not any(g & w == g for g in ideal.gens):
             sets.append(w)
-    return tuple(sorted(full & ~f for f in _maximal_sets(sets)))
+    return tuple(sorted(full & ~f for f in max_antichain(sets)))

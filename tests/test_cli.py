@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from beilab import cli
+from beilab.graphs import emit_graph6, path_graph
 from conftest import fig_text
 
 
@@ -83,6 +84,37 @@ def test_verify_girth_small_corpus():
     assert code == 0, err
     data = json.loads(out)
     assert data["theorem"] == "girth" and data["violations"] == []
+
+
+@pytest.mark.parametrize("n", [15, 20])
+def test_verify_counts_capped_graphs_as_indeterminate(n):
+    # 15 vertices is over the admissible-path cap (14), 20 over --max-n
+    path = emit_graph6(path_graph(n)) + "\n"
+    code, out, err = run_cli(["verify", "girth", "-"], stdin="Bg\n" + path)
+    assert code == 2, err
+    data = json.loads(out)
+    assert data["indeterminate"] == 1 and data["instances"] == 1
+    code, out, err = run_cli(["verify", "girth", "-"], stdin=path)
+    assert code == 2 and "Traceback" not in err
+    assert json.loads(out)["instances"] == 0
+
+
+@pytest.mark.parametrize("violations,indeterminate,findings,code", [
+    ((("Bg", "x"),), 1, (("Bg", "y"),), 1),
+    ((), 1, (("Bg", "y"),), 2),
+    ((), 0, (("Bg", "y"),), 3),
+    ((), 0, (), 0),
+])
+def test_verify_exit_code_precedence(monkeypatch, violations, indeterminate,
+                                     findings, code):
+    from beilab.lab import TheoremVerdict
+    monkeypatch.setitem(cli.VERIFIERS, "fake", lambda graphs, field, **kw:
+                        TheoremVerdict("fake", "-", len(graphs), violations,
+                                       findings=findings,
+                                       indeterminate=indeterminate))
+    monkeypatch.setattr(sys, "stdin", io.StringIO("Bg\n"))
+    args = cli.build_parser().parse_args(["verify", "fake", "-"])
+    assert cli.cmd_verify(args, out=io.StringIO()) == code
 
 
 def test_verify_unknown_theorem():

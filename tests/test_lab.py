@@ -155,3 +155,76 @@ def test_analyze_enumerates_cutsets_once(monkeypatch, fig):
         calls.clear()
         lab.analyze(g)
         assert len(calls) == 1
+
+
+def test_analyze_builds_each_artefact_once(monkeypatch, fig):
+    calls = []
+
+    def counting(name):
+        real = getattr(lab, name)
+
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapped
+
+    def no_reisner(*args, **kwargs):
+        raise AssertionError("analyze must not run the Reisner criterion")
+
+    for name in ("initial_ideal", "hochster_depth"):
+        monkeypatch.setattr(lab, name, counting(name))
+    monkeypatch.setattr(lab, "reisner_cm", no_reisner)
+    # the path passes both filters; the example graph is not unmixed
+    for g in (path_graph(4), fig):
+        calls.clear()
+        lab.analyze(g)
+        assert sorted(calls) == ["hochster_depth", "initial_ideal"]
+
+
+def test_cm_by_depth_agrees_with_reisner(corpus5):
+    from beilab.binomial_edge import initial_ideal
+    from beilab.homology import reisner_cm
+    from beilab.monomials import stanley_reisner
+    for g in corpus5:
+        assert lab.cm_check(g, use_filters=False).is_cm == \
+            reisner_cm(stanley_reisner(initial_ideal(g))).is_cm
+
+
+def test_depth_witness_when_not_cm():
+    cert = lab.cm_check(cycle_graph(4), use_filters=False)
+    assert cert.is_cm is False
+    label, depth, dim = cert.witness
+    assert label == "depth" and depth < dim == lab.dim_JG(cycle_graph(4))
+
+
+def test_face_budget_never_flips_cm(corpus5):
+    for g in corpus5:
+        budgeted = lab.cm_check(g, face_budget=1, use_filters=False).is_cm
+        assert budgeted in (None, lab.cm_check(g, use_filters=False).is_cm)
+
+
+def test_indeterminate_cm_is_never_false(monkeypatch, corpus5):
+    from beilab.homology import DepthResult
+    real = lab.hochster_depth
+
+    def some_out_of_budget(ideal, *args, **kwargs):
+        # out of budget on about half the ideals, so that an indeterminate
+        # answer meets known ones on both sides of each implication
+        if len(ideal.gens) % 2:
+            return real(ideal, *args, **kwargs)
+        return DepthResult(None, None, None, indeterminate=True,
+                           depth_bounds=(0, ideal.nvars))
+
+    monkeypatch.setattr(lab, "hochster_depth", some_out_of_budget)
+    assert lab.cm_check(path_graph(3)).is_cm is None
+    assert lab.cm_check(path_graph(4)).is_cm is True
+    verdicts = [verify(corpus5, corpus_name="n<=5")
+                for verify in lab.VERIFIERS.values()]
+    cut = [(g, min(lab.cut_vertices(g))) for g in corpus5
+           if lab.cut_vertices(g)]
+    verdicts.append(lab.verify_identification(list(zip(cut, cut[1:]))))
+    for v in verdicts:
+        assert not (v.violations or v.hypothesis_relevant or v.findings), \
+            v.theorem_id
+        assert v.indeterminate > 0, v.theorem_id
+        assert json.loads(v.to_json())["indeterminate"] == v.indeterminate
