@@ -182,7 +182,9 @@ def cmd_verify(args, out=sys.stdout):
         return EXIT_PARSE
     within = [g for g in graphs if not _cap_exceeded(g, cfg)]
     verdict = VERIFIERS[args.theorem](within, cfg.field,
-                                      corpus_name=args.corpus)
+                                      corpus_name=args.corpus,
+                                      face_budget=cfg.face_budget,
+                                      lattice_budget=cfg.lattice_budget)
     verdict = replace(verdict, indeterminate=verdict.indeterminate
                       + len(graphs) - len(within))
     print(verdict.to_json(), file=out)

@@ -1,8 +1,8 @@
 """Exact reduced simplicial homology, the Reisner check, and depth.
 
-Homology ranks are computed from boundary-matrix ranks, exactly: over the
-rationals via integer fraction-free elimination, or over GF(p) by modular
-elimination. Depth of a square-free monomial ideal comes from projective
+Homology ranks are computed from boundary-matrix ranks by one sparse exact
+elimination: over the rationals with primitive integer rows, over GF(p)
+modulo p. Depth of a square-free monomial ideal comes from projective
 dimension, scanning reduced homology of induced subcomplexes over the
 union-closure of the generator supports (the lcm lattice), where all
 nonzero Betti degrees live.
@@ -11,13 +11,16 @@ nonzero Betti degrees live.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import combinations
+from math import comb, gcd
 
 from . import monomials as mono
-from .monomials import SimplicialComplex
 
 DEFAULT_FACE_BUDGET = 5_000_000
 DEFAULT_LATTICE_BUDGET = 1_000_000
-DEFAULT_PRIME = 32003
+# entries kept by each memo: the boundary-rank cache, the depth-lemma memo
+_CACHE_SIZE = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -57,98 +60,83 @@ class BudgetExceeded(Exception):
 # ---------------------------------------------------------------------------
 # exact matrix rank
 
-def _rank_mod_p(rows, p):
-    """Rank of a matrix (list of lists of ints) over GF(p)."""
-    rows = [[x % p for x in r] for r in rows]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    col = 0
-    while rank < len(rows) and col < ncols:
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col], p - 2, p)
-        prow = [(x * inv) % p for x in rows[rank]]
-        rows[rank] = prow
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], prow)]
-        rank += 1
-        col += 1
-    return rank
+def _rank(rows, p):
+    """Rank of a sparse integer matrix over GF(p), or over Q when p is 0.
 
-
-def _rank_exact(rows):
-    """Rank over the rationals by fraction-free (Bareiss) elimination."""
-    rows = [list(r) for r in rows]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    rank = 0
-    prev = 1
-    col = 0
-    while rank < nrows and col < ncols:
-        piv = None
-        for i in range(rank, nrows):
-            if rows[i][col]:
-                piv = i
-                if abs(rows[i][col]) == 1:
-                    break
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pv = rows[rank][col]
-        rp = rows[rank]
-        for i in range(rank + 1, nrows):
-            ri = rows[i]
-            f = ri[col]
-            rows[i] = [(pv * a - f * b) // prev for a, b in zip(ri, rp)]
-        prev = pv
-        rank += 1
-        col += 1
-    return rank
-
-
-def _rank(rows, field):
-    if not rows or not rows[0]:
-        return 0
-    if field.characteristic:
-        return _rank_mod_p(rows, field.characteristic)
-    return _rank_exact(rows)
+    Rows are dicts column -> nonzero entry. Pivots are stored by their
+    leading (least) column; a row meeting a pivot there becomes
+    a*row - b*pivot, which clears that column, until its leading column
+    is free or the row vanishes. Mod p entries stay reduced and pivots
+    are scaled to lead with 1; over Q every row is kept primitive (divided
+    by the gcd of its entries), so the integers stay small and the rank is
+    exact.
+    """
+    pivots = {}
+    for row in rows:
+        # a copy: elimination below updates rows in place
+        row = {c: v % p for c, v in row.items() if v % p} if p else dict(row)
+        while row:
+            lead = min(row)
+            piv = pivots.get(lead)
+            if piv is None:
+                if p:
+                    inv = pow(row[lead], -1, p)
+                    row = {c: v * inv % p for c, v in row.items()}
+                pivots[lead] = row
+                break
+            a, b = piv[lead], row[lead]
+            if not p:
+                g = gcd(a, b)
+                a, b = a // g, b // g
+            if a != 1:
+                row = {c: a * v for c, v in row.items()}
+            for c, v in piv.items():
+                x = row.get(c, 0) - b * v
+                if p:
+                    x %= p
+                if x:
+                    row[c] = x
+                else:
+                    del row[c]
+            if not p and row:
+                g = gcd(*row.values())
+                if g != 1:
+                    row = {c: v // g for c, v in row.items()}
+    return len(pivots)
 
 
 # ---------------------------------------------------------------------------
 # reduced homology
 
-def _faces_by_dim(facets):
-    """dict k -> sorted list of k-faces (masks), from a facet list."""
-    by_dim = {}
-    for f in SimplicialComplex(max(facets).bit_length(), facets).faces():
-        by_dim.setdefault(bin(f).count("1") - 1, []).append(f)
-    return {k: sorted(v) for k, v in by_dim.items()}
+
+def _faces_by_dim(facets, max_size):
+    """dict k -> sorted k-faces (masks) with 2..max_size vertices."""
+    by_size = {}
+    for f in facets:
+        bits = [1 << b for b in range(f.bit_length()) if f >> b & 1]
+        for s in range(2, min(len(bits), max_size) + 1):
+            faces = by_size.setdefault(s, set())
+            faces.update(map(sum, combinations(bits, s)))
+    return {s - 1: sorted(v) for s, v in by_size.items()}
 
 
-def _boundary_rank(upper, lower, field):
+def _boundary_rank(upper, lower, p):
     """Rank of the simplicial boundary map from k-faces to (k-1)-faces."""
     if not upper or not lower:
         return 0
     index = {f: i for i, f in enumerate(lower)}
     rows = []
     for f in upper:
-        row = [0] * len(lower)
+        row = {}
         sign = 1
         b = f
         # iterate vertices of f in increasing order for alternating signs
         while b:
-            low = b & -b
-            row[index[f & ~low]] = sign
+            row[index[f & ~(b & -b)]] = sign
             sign = -sign
             b &= b - 1
         rows.append(row)
-    return _rank(rows, field)
+    return _rank(rows, p)
 
 
 def _is_cone(facets):
@@ -160,110 +148,64 @@ def _is_cone(facets):
     return bool(common)
 
 
-_RANKS_CACHE = {}
-
-
-def reduced_ranks_from_facets(facets, field):
-    """Reduced homology ranks as a dict degree -> rank (zeros omitted)."""
-    facets = tuple(sorted(facets))
-    if not facets:
-        return {}
-    if facets == (0,):
-        return {-1: 1}
-    key = (facets, field.characteristic)
-    hit = _RANKS_CACHE.get(key)
-    if hit is not None:
-        return hit
-    if _is_cone(facets):
-        _RANKS_CACHE[key] = {}
-        return {}
-    by_dim = _faces_by_dim(facets)
-    top = max(by_dim)
-    ranks = {}
-    # boundary ranks: r[k] = rank of d_k : C_k -> C_{k-1}; d_0 = augmentation
-    r = {0: 1 if by_dim.get(0) else 0}
-    for k in range(1, top + 1):
-        r[k] = _boundary_rank(by_dim.get(k, []), by_dim.get(k - 1, []), field)
-    r[top + 1] = 0
-    h_minus1 = 1 - r[0]
-    if h_minus1:
-        ranks[-1] = h_minus1
-    for k in range(0, top + 1):
-        h = len(by_dim.get(k, [])) - r[k] - r[k + 1]
-        if h:
-            ranks[k] = h
-    _check_euler(by_dim, ranks)
-    _RANKS_CACHE[key] = ranks
-    return ranks
-
-
-def _faces_up_to(facets, max_size):
-    """All faces with at most max_size vertices, grouped by dimension."""
-    import itertools
-    by_dim = {}
-    seen = set()
+def _components(facets):
+    """Number of connected components, merging facet masks that meet."""
+    comps = []
     for f in facets:
-        bits = [b for b in range(f.bit_length()) if f >> b & 1]
-        take = min(len(bits), max_size)
-        for s in range(take + 1):
-            for comb in itertools.combinations(bits, s):
-                m = sum(1 << b for b in comb)
-                if m not in seen:
-                    seen.add(m)
-                    by_dim.setdefault(s - 1, []).append(m)
-    return {k: sorted(v) for k, v in by_dim.items()}
+        if not f:
+            continue
+        rest = []
+        for c in comps:
+            if c & f:
+                f |= c
+            else:
+                rest.append(c)
+        rest.append(f)
+        comps = rest
+    return len(comps)
 
 
-def reduced_ranks_up_to(facets, field, max_degree):
-    """Reduced homology ranks for degrees -1..max_degree only.
+def reduced_ranks_from_facets(facets, field, max_degree=None):
+    """Reduced homology ranks as a dict degree -> rank (zeros omitted),
+    for degrees up to max_degree, or all degrees when it is None.
 
-    Enumerates faces only up to dimension max_degree+1, so cheap when the
-    complex is large but only low homological degrees matter. No Euler
-    check (the chain complex is truncated)."""
-    facets = tuple(sorted(facets))
-    if not facets or max_degree < -1:
+    The facets need not form an antichain; zero masks add nothing. Degrees
+    -1 and 0 need no matrix: the rank of d_1 is |vertices| - |components|.
+    Higher degrees eliminate boundary matrices built from the faces with
+    at most max_degree + 2 vertices.
+    """
+    facets = tuple(sorted(set(facets)))
+    top = max(bin(f).count("1") for f in facets) - 1 if facets else -2
+    if max_degree is None or max_degree > top:
+        max_degree = top
+    if max_degree < -1:
         return {}
-    if facets == (0,):
+    verts = 0
+    for f in facets:
+        verts |= f
+    if not verts:
         return {-1: 1}
-    key = (facets, field.characteristic, max_degree)
-    hit = _RANKS_CACHE.get(key)
-    if hit is not None:
-        return hit
-    full_key = (facets, field.characteristic)
-    full = _RANKS_CACHE.get(full_key)
-    if full is not None:
-        out = {k: v for k, v in full.items() if k <= max_degree}
-        _RANKS_CACHE[key] = out
-        return out
-    if _is_cone(facets):
-        _RANKS_CACHE[key] = {}
-        return {}
-    top = max(bin(f).count("1") for f in facets) - 1
-    if max_degree >= top:
-        out = reduced_ranks_from_facets(facets, field)
-        _RANKS_CACHE[key] = out
-        return out
-    by_dim = _faces_up_to(facets, max_degree + 2)
-    ranks = {}
-    r = {0: 1 if by_dim.get(0) else 0}
-    for k in range(1, max_degree + 2):
-        r[k] = _boundary_rank(by_dim.get(k, []), by_dim.get(k - 1, []), field)
-    if 1 - r[0]:
-        ranks[-1] = 1 - r[0]
-    for k in range(0, max_degree + 1):
-        h = len(by_dim.get(k, [])) - r[k] - r[k + 1]
-        if h:
-            ranks[k] = h
-    _RANKS_CACHE[key] = ranks
+    ncomps = _components(facets)
+    ranks = {0: ncomps - 1} if ncomps > 1 and max_degree >= 0 else {}
+    if max_degree > 0 and not _is_cone(facets):
+        ranks.update(_matrix_ranks(facets, field.characteristic, max_degree,
+                                   bin(verts).count("1") - ncomps))
     return ranks
 
 
-def _check_euler(by_dim, ranks):
-    # by_dim includes the empty face at dimension -1
-    lhs = sum((-1 if k % 2 else 1) * len(v) for k, v in by_dim.items())
-    rhs = sum((-1 if k % 2 else 1) * h for k, h in ranks.items())
-    if lhs != rhs:
-        raise AssertionError("Euler characteristic mismatch in homology")
+@lru_cache(maxsize=_CACHE_SIZE)
+def _matrix_ranks(facets, p, max_degree, rank_d1):
+    """Ranks of H~_1..H~_max_degree, given the rank of d_1."""
+    by_dim = _faces_by_dim(facets, max_degree + 2)
+    ranks = {}
+    r = rank_d1     # rank of d_k, for k = 1, 2, ...
+    for k in range(1, max_degree + 1):
+        r_up = _boundary_rank(by_dim.get(k + 1), by_dim[k], p)
+        h = len(by_dim[k]) - r - r_up
+        if h:
+            ranks[k] = h
+        r = r_up
+    return ranks
 
 
 def reduced_homology_ranks(cx, field=QQ, face_budget=DEFAULT_FACE_BUDGET):
@@ -302,10 +244,9 @@ def reisner_cm(cx, field=QQ, face_budget=DEFAULT_FACE_BUDGET):
             dim_link = max(bin(f).count("1") for f in link) - 1
             if dim_link <= 0:
                 continue  # dimension <= 0 complexes are always CM
-            ranks = reduced_ranks_from_facets(link, field)
-            bad = [k for k in ranks if k < dim_link]
-            if bad:
-                return CMCertificate(False, field, witness=(sigma, min(bad)))
+            ranks = reduced_ranks_from_facets(link, field, dim_link - 1)
+            if ranks:
+                return CMCertificate(False, field, witness=(sigma, min(ranks)))
     except BudgetExceeded:
         return CMCertificate(None, field, indeterminate=True)
     return CMCertificate(True, field)
@@ -328,7 +269,7 @@ def _pd_from_subsets(ideal, subsets, field, best_seed=0):
         if max_deg < -1:
             continue
         induced = cx.restrict(w).facets
-        ranks = reduced_ranks_up_to(induced, field, max_deg)
+        ranks = reduced_ranks_from_facets(induced, field, max_deg)
         for i in sorted(ranks):
             if ranks[i] and size - i - 1 > best:
                 best = size - i - 1
@@ -352,22 +293,19 @@ def _lcm_lattice(ideal, budget):
     return closure
 
 
-_DEPTH_LB_MEMO = {}
-
-
-def _depth_lower_bound(ideal, topk=1):
-    """Certified lower bound on depth of the quotient, by the depth lemma
-    applied to 0 -> S/(I:x) -> S/I -> S/(I+x) -> 0 recursively.
+@lru_cache(maxsize=_CACHE_SIZE)
+def _depth_lower_bound(n, gens, topk):
+    """Certified lower bound on depth of the quotient by the ideal with
+    minimal generators gens in n variables, by the depth lemma applied to
+    0 -> S/(I:x) -> S/I -> S/(I+x) -> 0 recursively.
 
     topk is the number of candidate splitting variables tried per node
     (the bound is the max over candidates); larger topk is sharper but
-    costlier. Never exceeds the true depth, over any field.
+    costlier. Never exceeds the true depth, over any field. The cache
+    keys on (n, gens, topk), not on ideal objects, so it keeps no ideal
+    alive.
     """
-    key = (ideal.nvars, ideal.gens, topk)
-    hit = _DEPTH_LB_MEMO.get(key)
-    if hit is not None:
-        return hit
-    n = ideal.nvars
+    ideal = mono.MonomialIdeal(n, gens)
     if ideal.is_zero():
         out = n
     elif ideal.is_unit():
@@ -392,73 +330,12 @@ def _depth_lower_bound(ideal, topk=1):
         for x in cand:
             quot = mono.colon(ideal, x)
             plus = mono.MonomialIdeal.make(n, ideal.gens + (x,))
-            out = max(out, min(_depth_lower_bound(quot, topk),
-                               _depth_lower_bound(plus, topk)))
-    _DEPTH_LB_MEMO[key] = out
+            out = max(out, min(_depth_lower_bound(n, quot.gens, topk),
+                               _depth_lower_bound(n, plus.gens, topk)))
     return out
 
 
-def _h0_rank(facets):
-    """Rank of H~_0 (components minus one), by union-find; field-free."""
-    parent = {}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for f in facets:
-        bits = []
-        b = f
-        while b:
-            bits.append(b & -b)
-            b &= b - 1
-        for v in bits:
-            parent.setdefault(v, v)
-        for v in bits[1:]:
-            ra, rb = find(bits[0]), find(v)
-            if ra != rb:
-                parent[ra] = rb
-    if not parent:
-        return 0
-    return len({find(v) for v in parent}) - 1
-
-
-_SCREEN_FIELD = FieldSpec(DEFAULT_PRIME)
-
-
-def _homology_rank_at(facets, field, i, counter, budget):
-    """Rank of H~_i for a facet list, exactly over the given field.
-
-    Cone- and cache-aware; degrees -1 and 0 are combinatorial (no
-    matrices). Over the rationals a positive-characteristic screen runs
-    first: vanishing mod p certifies vanishing over QQ by universal
-    coefficients, so exact integer elimination only touches candidates.
-    Work is counted against a face budget.
-    """
-    if not facets:
-        return 0
-    if facets == (0,):
-        return 1 if i == -1 else 0
-    if i == -1:
-        return 0
-    if _is_cone(facets):
-        return 0
-    if i == 0:
-        return _h0_rank(facets)
-    est = sum(_binom_sum(bin(f).count("1"), i + 2) for f in facets)
-    counter[0] += est
-    if counter[0] > budget:
-        raise BudgetExceeded("homology face budget exceeded")
-    if field.characteristic == 0:
-        if not reduced_ranks_up_to(facets, _SCREEN_FIELD, i).get(i, 0):
-            return 0
-    return reduced_ranks_up_to(facets, field, i).get(i, 0)
-
-
 def _binom_sum(n, k):
-    from math import comb
     return sum(comb(n, s) for s in range(0, min(n, k) + 1))
 
 
@@ -492,7 +369,7 @@ def hochster_depth(ideal, field=QQ, budget=DEFAULT_LATTICE_BUDGET,
     cx = mono.stanley_reisner(ideal)
     # pd >= big height = max codim of an associated prime, always
     pd_lb = n - min(bin(f).count("1") for f in cx.facets)
-    depth_lb = _depth_lower_bound(ideal)
+    depth_lb = _depth_lower_bound(n, ideal.gens, 1)
     witness = None
     # the lattice's top element is the union of all generators
     top = 0
@@ -516,7 +393,13 @@ def hochster_depth(ideal, field=QQ, budget=DEFAULT_LATTICE_BUDGET,
                 facets = tuple({f & w for f in cx.facets})
             else:
                 facets = cx.restrict(w).facets
-            if _homology_rank_at(facets, field, i, counter, face_budget):
+                if facets != (0,) and not _is_cone(facets):
+                    # charge the faces a degree-i computation enumerates
+                    counter[0] += sum(_binom_sum(bin(f).count("1"), i + 2)
+                                      for f in facets)
+                    if counter[0] > face_budget:
+                        raise BudgetExceeded("homology face budget exceeded")
+            if reduced_ranks_from_facets(facets, field, i).get(i, 0):
                 if size - i - 1 > pd_lb:
                     pd_lb = size - i - 1
                     witness = (w, i)
@@ -532,7 +415,7 @@ def hochster_depth(ideal, field=QQ, budget=DEFAULT_LATTICE_BUDGET,
         for topk in (2, 3, 4):
             if n - pd_lb <= depth_lb:
                 break
-            depth_lb = max(depth_lb, _depth_lower_bound(ideal, topk))
+            depth_lb = max(depth_lb, _depth_lower_bound(n, ideal.gens, topk))
         i = 1
         while pd_lb + i + 2 <= max_size:
             if n - pd_lb <= depth_lb:

@@ -100,7 +100,8 @@ def _cm_certificate(field, unm, acc, depth):
 
 
 def cm_check(g, field=QQ, face_budget=DEFAULT_FACE_BUDGET,
-             use_filters=True, *, _cutsets=None):
+             use_filters=True, lattice_budget=DEFAULT_LATTICE_BUDGET, *,
+             _cutsets=None):
     """Cohen-Macaulayness of the binomial edge ideal: depth == dim, where
     in(J_G) is square-free, so S/J_G and S/in(J_G) share depth and
     dimension (Conca-Varbaro), and the depth is the Hochster squeeze's.
@@ -108,14 +109,15 @@ def cm_check(g, field=QQ, face_budget=DEFAULT_FACE_BUDGET,
     Pre-filters: not unmixed => not CM (cutset witness); not accessible =>
     not CM (known necessity; disable with use_filters=False to force the
     depth route). Otherwise not CM has the witness ("depth", depth, dim),
-    and a depth out of budget gives is_cm None. ``_cutsets`` lets a caller
-    that has already enumerated the cutsets of g hand them over instead.
+    and a depth out of either budget gives is_cm None. ``_cutsets`` lets a
+    caller that has already enumerated the cutsets of g hand them over
+    instead.
     """
     cuts = cs.enumerate_cutsets(g) if _cutsets is None else _cutsets
     unm = cs.is_unmixed(g, cutsets=cuts)
     acc = cs.is_accessible(g, cutsets=cuts) if use_filters else None
     return _cm_certificate(field, unm, acc, lambda: hochster_depth(
-        initial_ideal(g), field, face_budget=face_budget))
+        initial_ideal(g), field, lattice_budget, face_budget))
 
 
 def dim_JG(g):
@@ -123,13 +125,13 @@ def dim_JG(g):
     return cs.is_unmixed(g).dim
 
 
-def depth_JG(g, field=QQ, budget=DEFAULT_LATTICE_BUDGET):
+def depth_JG(g, field=QQ, budget=DEFAULT_LATTICE_BUDGET,
+             face_budget=DEFAULT_FACE_BUDGET):
     """Depth of the quotient by J_G, via depth of its initial ideal."""
-    return hochster_depth(initial_ideal(g), field, budget)
+    return hochster_depth(initial_ideal(g), field, budget, face_budget)
 
 
-def analyze(g, field=QQ, with_depth=True,
-            face_budget=DEFAULT_FACE_BUDGET,
+def analyze(g, field=QQ, face_budget=DEFAULT_FACE_BUDGET,
             lattice_budget=DEFAULT_LATTICE_BUDGET):
     cuts = cs.enumerate_cutsets(g)
     unm = cs.is_unmixed(g, cutsets=cuts)
@@ -138,7 +140,7 @@ def analyze(g, field=QQ, with_depth=True,
     depth = functools.cache(lambda: hochster_depth(
         initial_ideal(g), field, lattice_budget, face_budget))
     cert = _cm_certificate(field, unm, acc, depth)
-    dr = depth() if with_depth else None
+    dr = depth()
     bd = blocks(g) if is_connected(g) and g.n else None
     return AnalysisReport(
         graph6=emit_graph6(g),
@@ -156,7 +158,7 @@ def analyze(g, field=QQ, with_depth=True,
         cm=cert.is_cm,
         cm_witness=cert.witness,
         field_char=field.characteristic,
-        depth=None if dr is None or dr.indeterminate else dr.depth,
+        depth=None if dr.indeterminate else dr.depth,
         dim=unm.dim)
 
 
@@ -195,13 +197,17 @@ def _jsonable(x):
 
 @dataclass
 class _CMTally:
-    """cm_check(g).is_cm in one verifier run; counts the None answers,
-    which the run's verdict reports as indeterminate."""
+    """cm_check(g).is_cm in one verifier run, within the run's budgets;
+    counts the None answers, which the run's verdict reports as
+    indeterminate."""
     field: FieldSpec
+    face_budget: int = DEFAULT_FACE_BUDGET
+    lattice_budget: int = DEFAULT_LATTICE_BUDGET
     indeterminate: int = 0
 
     def __call__(self, g, **kw):
-        is_cm = cm_check(g, self.field, **kw).is_cm
+        is_cm = cm_check(g, self.field, self.face_budget,
+                         lattice_budget=self.lattice_budget, **kw).is_cm
         self.indeterminate += is_cm is None
         return is_cm
 
@@ -221,9 +227,11 @@ def _two_sided_splits(g):
     return out
 
 
-def verify_prop_saturation(corpus, field=QQ, corpus_name=""):
+def verify_prop_saturation(corpus, field=QQ, corpus_name="", *,
+                           face_budget=DEFAULT_FACE_BUDGET,
+                           lattice_budget=DEFAULT_LATTICE_BUDGET):
     """CM(J_G) implies CM(J_{G_v}) for every vertex v."""
-    cm = _CMTally(field)
+    cm = _CMTally(field, face_budget, lattice_budget)
     violations = []
     count = 0
     for g in corpus:
@@ -236,7 +244,9 @@ def verify_prop_saturation(corpus, field=QQ, corpus_name=""):
     return cm.verdict("saturation", corpus_name, count, tuple(violations))
 
 
-def verify_deletion_lemmas(corpus, field=QQ, corpus_name=""):
+def verify_deletion_lemmas(corpus, field=QQ, corpus_name="", *,
+                           face_budget=DEFAULT_FACE_BUDGET,
+                           lattice_budget=DEFAULT_LATTICE_BUDGET):
     """The deletion-family implications at a cut vertex.
 
     For each split G = G1 u G2 at v:
@@ -248,7 +258,7 @@ def verify_deletion_lemmas(corpus, field=QQ, corpus_name=""):
     Plus, for non-cut vertices: unmixed(G_v) and unmixed(G - v) =>
     unmixed(G_v - v).
     """
-    cm = _CMTally(field)
+    cm = _CMTally(field, face_budget, lattice_budget)
     violations = []
     count = 0
     for g in corpus:
@@ -307,7 +317,9 @@ def whiskered_sides(g, v):
 
 
 def verify_gluing_theorems(corpus, field=QQ, corpus_name="",
-                           check_converse=True):
+                           check_converse=True, *,
+                           face_budget=DEFAULT_FACE_BUDGET,
+                           lattice_budget=DEFAULT_LATTICE_BUDGET):
     """Whisker gluing: forward direction plus the conditional converse.
 
     Forward (unconditional): CM(G) => both whiskered sides CM at every cut
@@ -316,7 +328,7 @@ def verify_gluing_theorems(corpus, field=QQ, corpus_name="",
     failures of the converse are reported as hypothesis-relevant, never as
     violations.
     """
-    cm = _CMTally(field)
+    cm = _CMTally(field, face_budget, lattice_budget)
     violations = []
     hypo = []
     count = 0
@@ -346,10 +358,12 @@ def verify_gluing_theorems(corpus, field=QQ, corpus_name="",
                        hypothesis_relevant=tuple(hypo))
 
 
-def verify_blocks_corollary(corpus, field=QQ, corpus_name=""):
+def verify_blocks_corollary(corpus, field=QQ, corpus_name="", *,
+                            face_budget=DEFAULT_FACE_BUDGET,
+                            lattice_budget=DEFAULT_LATTICE_BUDGET):
     """Converse blocks corollary: unmixed(G) and all blocks-with-whiskers CM
     => CM(G); conditional, so failures are hypothesis-relevant."""
-    cm = _CMTally(field)
+    cm = _CMTally(field, face_budget, lattice_budget)
     hypo = []
     count = 0
     for g in corpus:
@@ -367,9 +381,11 @@ def verify_blocks_corollary(corpus, field=QQ, corpus_name=""):
                        hypothesis_relevant=tuple(hypo))
 
 
-def verify_girth_theorem(corpus, field=QQ, corpus_name=""):
+def verify_girth_theorem(corpus, field=QQ, corpus_name="", *,
+                         face_budget=DEFAULT_FACE_BUDGET,
+                         lattice_budget=DEFAULT_LATTICE_BUDGET):
     """Every CM graph, and every accessible graph, has girth in {3,4,inf}."""
-    cm = _CMTally(field)
+    cm = _CMTally(field, face_budget, lattice_budget)
     violations = []
     count = 0
     for g in corpus:
@@ -425,11 +441,12 @@ def verify_identification(corpus_pairs, field=QQ, corpus_name=""):
 
 
 def hypothesis_search(corpus, field=QQ, corpus_name="",
-                      girth4_scan=True):
+                      girth4_scan=True, *, face_budget=DEFAULT_FACE_BUDGET,
+                      lattice_budget=DEFAULT_LATTICE_BUDGET):
     """Scan for counterexamples to the open deletion hypothesis and for CM
     girth-4 graphs carrying a long induced cycle. Findings are search
     outputs; an empty result is the expected (reportable) outcome."""
-    cm = _CMTally(field)
+    cm = _CMTally(field, face_budget, lattice_budget)
     findings = []
     count = 0
     for g in corpus:
@@ -458,10 +475,11 @@ class DepthEqualityRecord:
     equal: bool | None     # None = indeterminate
 
 
-def depth_equality_check(g, v, field=QQ, budget=DEFAULT_LATTICE_BUDGET):
+def depth_equality_check(g, v, field=QQ, budget=DEFAULT_LATTICE_BUDGET,
+                         face_budget=DEFAULT_FACE_BUDGET):
     """depth(S/J_G) versus depth of the two whiskered sides minus four."""
     w1, w2 = whiskered_sides(g, v)
-    parts = [depth_JG(x, field, budget) for x in (g, w1, w2)]
+    parts = [depth_JG(x, field, budget, face_budget) for x in (g, w1, w2)]
     if any(p.indeterminate for p in parts):
         return DepthEqualityRecord(None, None, None)
     lhs = parts[0].depth
@@ -510,8 +528,9 @@ def depth_question_filter(g, v):
     )
 
 
-def verify_depth_equality(corpus, field=QQ, corpus_name="",
-                          budget=DEFAULT_LATTICE_BUDGET):
+def verify_depth_equality(corpus, field=QQ, corpus_name="", *,
+                          face_budget=DEFAULT_FACE_BUDGET,
+                          lattice_budget=DEFAULT_LATTICE_BUDGET):
     """Survey the additive depth formula at every cut vertex. The equality
     is known to fail in general, so inequalities are findings, not
     violations; indeterminate (budget) outcomes are counted apart."""
@@ -524,7 +543,8 @@ def verify_depth_equality(corpus, field=QQ, corpus_name="",
             if isinstance(decompose_at(g, v), str):
                 continue
             count += 1
-            rec = depth_equality_check(g, v, field, budget)
+            rec = depth_equality_check(g, v, field, lattice_budget,
+                                       face_budget)
             if rec.equal is None:
                 indeterminate += 1
             elif not rec.equal:

@@ -99,6 +99,14 @@ def test_verify_counts_capped_graphs_as_indeterminate(n):
     assert json.loads(out)["instances"] == 0
 
 
+def test_verify_honours_budgets():
+    # P4 is CM; with both budgets at 1 no depth can be decided
+    code, out, err = run_cli(["verify", "saturation", "-", "--lattice-budget",
+                              "1", "--face-budget", "1"], stdin="Ch\n")
+    assert code == 2, err
+    assert json.loads(out)["indeterminate"] >= 1
+
+
 @pytest.mark.parametrize("violations,indeterminate,findings,code", [
     ((("Bg", "x"),), 1, (("Bg", "y"),), 1),
     ((), 1, (("Bg", "y"),), 2),

@@ -9,13 +9,14 @@ from hypothesis import given, settings, strategies as st
 from beilab.binomial_edge import initial_ideal
 from beilab.graphs import complete_graph, cycle_graph, path_graph
 from beilab.homology import (BudgetExceeded, FieldSpec, QQ, _lcm_lattice,
-                             brute_depth_oracle, depth_splitting_check,
+                             _rank, brute_depth_oracle, depth_splitting_check,
                              hochster_depth, reduced_homology_ranks,
                              reduced_ranks_from_facets, reisner_cm)
 from beilab.monomials import MonomialIdeal, SimplicialComplex, stanley_reisner
 
 
 GF2 = FieldSpec(2)
+GF3 = FieldSpec(3)
 
 
 def ideal(nvars, *gens):
@@ -76,6 +77,39 @@ def test_projective_plane_characteristic_dependence():
     cx = SimplicialComplex.make(6, facets)
     assert reduced_homology_ranks(cx, QQ) == [0, 0, 0, 0]
     assert reduced_homology_ranks(cx, GF2) == [0, 0, 1, 1]
+
+
+def test_rank_matches_sympy():
+    from sympy import GF, Matrix
+    from sympy.polys.matrices import DomainMatrix
+    rng = random.Random(1729)
+    for _ in range(300):
+        nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+        m = [[rng.choice((0, 0, 0, 1, -1, 2, -3, 5)) for _ in range(nc)]
+             for _ in range(nr)]
+        rows = [{c: v for c, v in enumerate(r) if v} for r in m]
+        assert _rank(rows, 0) == Matrix(m).rank()
+        for p in (2, 3):
+            assert _rank(rows, p) == DomainMatrix.from_list(m, GF(p)).rank()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=255), min_size=1,
+                max_size=7),
+       st.sampled_from([QQ, GF2, GF3]))
+def test_truncated_ranks_are_full_ranks_restricted(facets, field):
+    full = reduced_ranks_from_facets(facets, field)
+    for d in range(-2, 9):
+        assert reduced_ranks_from_facets(facets, field, d) == \
+            {k: r for k, r in full.items() if k <= d}
+    if field == QQ:
+        assert reduced_ranks_from_facets(facets, FieldSpec(32003)) == full
+
+
+def test_degree_0_ignores_the_zero_mask():
+    # the degree -1/0 Hochster scan restricts facets without an antichain
+    # pass, so the empty face can sit among them: two points, H~_0 = 1
+    assert reduced_ranks_from_facets((0, 0b01, 0b10), QQ, 0) == {0: 1}
 
 
 def test_reisner_small_examples():

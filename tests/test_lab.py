@@ -30,7 +30,7 @@ def test_analyze_report_fields(fig):
     assert (r.n, r.unmixed, r.accessible, r.cm) == (3, True, True, True)
     assert r.depth == r.dim == 4
     assert r.girth == float("inf")
-    r = lab.analyze(fig, with_depth=False)
+    r = lab.analyze(fig)
     assert r.girth == 3 and r.cut_vertices == (2, 6, 8, 11)
     assert not r.consistency_violations()
 
