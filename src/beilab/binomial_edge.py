@@ -11,8 +11,8 @@ import itertools
 from dataclasses import dataclass
 
 from . import monomials as mono
-from .cutsets import Cutset, component_count, enumerate_cutsets, is_cutset
-from .graphs import Graph, connected_components, decompose_at, saturate
+from .cutsets import Cutset, enumerate_cutsets, is_cutset
+from .graphs import connected_components, decompose_at, saturate
 
 DEFAULT_PATH_CAP = 14
 
@@ -52,15 +52,10 @@ class PrimeComponentInitial:
 
 
 def _adjacency_on(g, vertices, extra_edges=()):
-    """Neighbor dict restricted to the vertex subset, plus extra edges."""
-    vs = set(vertices)
-    for e in extra_edges:
-        vs.update(e)
-    adj = {v: set() for v in vs}
-    for i, j in g.edges:
-        if i in vs and j in vs:
-            adj[i].add(j)
-            adj[j].add(i)
+    """Neighbor dict (mutable sets) of the subgraph induced on the vertex
+    subset and the ends of the extra edges, plus the extra edges."""
+    vs = set(vertices).union(*extra_edges)
+    adj = {v: vs & g.neighbors(v) for v in vs}
     for i, j in extra_edges:
         adj[i].add(j)
         adj[j].add(i)
@@ -103,7 +98,7 @@ def _admissible_paths_adj(adj):
 def admissible_paths(g, cap=DEFAULT_PATH_CAP):
     if g.n > cap:
         raise ValueError(f"admissible-path enumeration capped at n={cap}")
-    return _admissible_paths_adj(_adjacency_on(g, g.vertices()))
+    return _admissible_paths_adj(g.adjacency())
 
 
 def path_monomial(path, n):
@@ -189,22 +184,22 @@ def prime_PTv(g, t, choice):
     return PrimeComponentInitial(Cutset(t, len(comps)), tuple(choice), mask)
 
 
-def ass_initial(g, cap=DEFAULT_PATH_CAP, cutset_cap=None, check=True):
-    """Ass(in(J_G)) = all P_T(v) over cutsets T and component choices v."""
-    cuts = enumerate_cutsets(g, cutset_cap if cutset_cap is not None else max(g.n, 1))
+def ass_initial(g):
+    """Ass(in(J_G)) = all P_T(v) over cutsets T and component choices v,
+    checked against the height formula and for pairwise incomparability."""
+    cuts = enumerate_cutsets(g, cap=g.n)    # uncapped
     primes = []
     for t in cuts:
         comps = connected_components(g, t.vertices)
         for choice in itertools.product(*[sorted(c) for c in comps]):
             primes.append(prime_PTv(g, t.vertices, choice))
-    if check:
-        for p in primes:
-            expected = g.n + len(p.cutset) - p.cutset.c
-            if p.size() != expected:
-                raise AssertionError("height formula violated for a P_T(v)")
-        for a, b in itertools.combinations(primes, 2):
-            if a.mask & b.mask in (a.mask, b.mask):
-                raise AssertionError("P_T(v) containment found; Ass is wrong")
+    for p in primes:
+        expected = g.n + len(p.cutset) - p.cutset.c
+        if p.size() != expected:
+            raise AssertionError("height formula violated for a P_T(v)")
+    for a, b in itertools.combinations(primes, 2):
+        if a.mask & b.mask in (a.mask, b.mask):
+            raise AssertionError("P_T(v) containment found; Ass is wrong")
     return primes
 
 
@@ -218,7 +213,7 @@ def verify_decomposition(g, cap=DEFAULT_PATH_CAP):
     nvars = 2 * g.n
     ini = initial_ideal(g, cap=cap)
     acc = mono.MonomialIdeal.make(nvars, (0,))  # unit ideal
-    for p in ass_initial(g, cap):
+    for p in ass_initial(g):
         acc = mono.intersect(acc, prime_ideal(p, nvars))
     return mono.equal(ini, acc)
 

@@ -53,18 +53,22 @@ def enumerate_cutsets(g, cap=DEFAULT_CUTSET_CAP):
 
     Order: by increasing size, then lexicographically on the sorted vertex
     tuple. Subsets containing a free vertex are skipped wholesale (a free
-    vertex lies in no cutset).
+    vertex lies in no cutset). Components are counted once per candidate;
+    is_cutset's c(T - {v}) is read from the counts of the size below.
     """
     if g.n > cap:
         raise ValueError(f"cutset enumeration capped at n={cap}")
     nonfree = sorted(v for v in g.vertices() if not is_free_vertex(g, v))
-    out = [Cutset(frozenset(), component_count(g))]
+    prev = {frozenset(): component_count(g)}    # c(S), S one size smaller
+    out = [Cutset(frozenset(), prev[frozenset()])]
     for size in range(1, len(nonfree) + 1):
+        counts = {}
         for combo in itertools.combinations(nonfree, size):
             t = frozenset(combo)
-            c_full = component_count(g, t)
-            if all(component_count(g, t - {v}) < c_full for v in t):
+            c_full = counts[t] = component_count(g, t)
+            if all(prev[t - {v}] < c_full for v in t):
                 out.append(Cutset(t, c_full))
+        prev = counts
     return out
 
 

@@ -27,9 +27,15 @@ class Graph:
     edges: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
+        adj = {v: set() for v in range(1, self.n + 1)}
         for (i, j) in self.edges:
             if not (1 <= i < j <= self.n):
                 raise ValueError(f"bad edge ({i},{j}) for n={self.n}")
+            adj[i].add(j)
+            adj[j].add(i)
+        # built once; adjacency(), neighbors() and degree() read it
+        object.__setattr__(self, "_adj",
+                           {v: frozenset(s) for v, s in adj.items()})
 
     @staticmethod
     def from_edges(n, edge_iter):
@@ -44,22 +50,17 @@ class Graph:
         return range(1, self.n + 1)
 
     def adjacency(self):
-        """Neighbor sets, as a dict vertex -> frozenset."""
-        adj = {v: set() for v in self.vertices()}
-        for i, j in self.edges:
-            adj[i].add(j)
-            adj[j].add(i)
-        return {v: frozenset(s) for v, s in adj.items()}
+        """Neighbor sets, as a dict vertex -> frozenset (shared: read only)."""
+        return self._adj
 
     def neighbors(self, v):
-        return frozenset(u for u in self.vertices()
-                         if (min(u, v), max(u, v)) in self.edges)
+        return self._adj[v]
 
     def has_edge(self, u, v):
         return (min(u, v), max(u, v)) in self.edges
 
     def degree(self, v):
-        return len(self.neighbors(v))
+        return len(self._adj[v])
 
 
 @dataclass(frozen=True)
@@ -265,77 +266,64 @@ def is_connected(g):
 
 
 def cut_vertices(g):
-    """Articulation vertices, by delete-and-count."""
-    base = len(connected_components(g))
-    return frozenset(v for v in g.vertices()
-                     if len(connected_components(g, frozenset([v]))) > base)
+    """Articulation vertices: those of the one Tarjan pass in blocks()."""
+    return blocks(g).cut_vertices
 
 
 def blocks(g):
-    """Maximal biconnected components of a connected graph (Tarjan)."""
-    if g.n == 0:
-        raise ValueError("empty graph")
-    if not is_connected(g):
-        raise ValueError("blocks() requires a connected graph")
+    """Blocks (maximal biconnected subgraphs) and cut vertices of any
+    graph, by one depth-first pass per component (Hopcroft-Tarjan). An
+    isolated vertex is a block of its own; the empty graph has none."""
     adj = g.adjacency()
     disc, low = {}, {}
     stack = []          # edge stack
     out_blocks = []
     cuts = set()
     timer = itertools.count(1)
-
-    root = 1
-    # iterative DFS
-    call = [(root, None, iter(sorted(adj[root])))]
-    disc[root] = low[root] = next(timer)
-    root_children = 0
-    while call:
-        u, parent, it = call[-1]
-        advanced = False
-        for w in it:
-            if w == parent:
-                continue
-            if w not in disc:
-                stack.append((u, w))
-                disc[w] = low[w] = next(timer)
-                if u == root:
-                    root_children += 1
-                call.append((w, u, iter(sorted(adj[w]))))
-                advanced = True
-                break
-            elif disc[w] < disc[u]:
-                stack.append((u, w))
-                low[u] = min(low[u], disc[w])
-        if advanced:
+    for root in g.vertices():
+        if root in disc:
             continue
-        call.pop()
-        if call:
-            p = call[-1][0]
-            low[p] = min(low[p], low[u])
-            if low[u] >= disc[p]:
-                if p != root or root_children > 0:
+        disc[root] = low[root] = next(timer)
+        if not adj[root]:
+            out_blocks.append(frozenset([root]))
+            continue
+        root_children = 0
+        # iterative DFS
+        call = [(root, None, iter(sorted(adj[root])))]
+        while call:
+            u, parent, it = call[-1]
+            for w in it:
+                if w == parent:
+                    continue
+                if w not in disc:
+                    stack.append((u, w))
+                    disc[w] = low[w] = next(timer)
+                    call.append((w, u, iter(sorted(adj[w]))))
+                    break
+                if disc[w] < disc[u]:
+                    stack.append((u, w))
+                    low[u] = min(low[u], disc[w])
+            else:
+                call.pop()
+                if not call:
+                    continue
+                p = call[-1][0]
+                low[p] = min(low[p], low[u])
+                if low[u] >= disc[p]:
+                    # (p, u) and the edges above it on the stack: one block
                     comp = set()
-                    while stack and stack[-1] != (p, u):
-                        a, b = stack.pop()
-                        comp.update((a, b))
-                    if stack:
-                        a, b = stack.pop()
-                        comp.update((a, b))
-                    if comp:
-                        out_blocks.append(frozenset(comp))
-                if p != root:
-                    cuts.add(p)
-    # residual edges (happens only if stack handling left the root block)
-    if stack:
-        comp = set()
-        while stack:
-            a, b = stack.pop()
-            comp.update((a, b))
-        out_blocks.append(frozenset(comp))
-    if root_children > 1:
-        cuts.add(root)
-    if g.n == 1:
-        out_blocks = [frozenset([1])]
+                    while True:
+                        e = stack.pop()
+                        comp.update(e)
+                        if e == (p, u):
+                            break
+                    out_blocks.append(frozenset(comp))
+                    if p != root:
+                        cuts.add(p)
+                    else:
+                        root_children += 1
+        if root_children > 1:
+            cuts.add(root)
     return BlockDecomposition(tuple(sorted(out_blocks, key=lambda b: sorted(b))),
                               frozenset(cuts))
 

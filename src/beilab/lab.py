@@ -141,13 +141,13 @@ def analyze(g, field=QQ, face_budget=DEFAULT_FACE_BUDGET,
         initial_ideal(g), field, lattice_budget, face_budget))
     cert = _cm_certificate(field, unm, acc, depth)
     dr = depth()
-    bd = blocks(g) if is_connected(g) and g.n else None
+    bd = blocks(g)
     return AnalysisReport(
         graph6=emit_graph6(g),
         n=g.n,
         girth=girth(g),
-        blocks=tuple(tuple(sorted(b)) for b in bd.blocks) if bd else (),
-        cut_vertices=tuple(sorted(cut_vertices(g))),
+        blocks=tuple(tuple(sorted(b)) for b in bd.blocks),
+        cut_vertices=tuple(sorted(bd.cut_vertices)),
         cutset_count=len(cuts),
         unmixed=unm.unmixed,
         unmixed_witness=(tuple(sorted(unm.witness.vertices))
@@ -215,16 +215,13 @@ class _CMTally:
         return TheoremVerdict(*args, indeterminate=self.indeterminate, **kw)
 
 
-def _two_sided_splits(g):
-    """(v, g1, g2) for every cut vertex v, with the two sides as graphs
-    carrying v as their largest/smallest label respectively."""
-    out = []
-    for v in sorted(cut_vertices(g)):
-        dec = decompose_at(g, v)
-        if isinstance(dec, str):
-            continue
-        out.append((v, dec))
-    return out
+def _two_sided_splits(g, cuts):
+    """(v, decompose_at(g, v)) for every cut vertex v in ``cuts``, in order;
+    None for a disconnected graph with a cut vertex, which decompose_at
+    does not split: a verifier counts it as one indeterminate answer."""
+    if cuts and not is_connected(g):
+        return None
+    return [(v, decompose_at(g, v)) for v in sorted(cuts)]
 
 
 def verify_prop_saturation(corpus, field=QQ, corpus_name="", *,
@@ -262,10 +259,15 @@ def verify_deletion_lemmas(corpus, field=QQ, corpus_name="", *,
     violations = []
     count = 0
     for g in corpus:
+        cuts = cut_vertices(g)
+        splits = _two_sided_splits(g, cuts)
+        if splits is None:
+            cm.indeterminate += 1
+            continue
         g6 = emit_graph6(g)
         g_unmixed = cs.is_unmixed(g).unmixed
         g_cm = cm(g) if g_unmixed else False
-        for v, dec in _two_sided_splits(g):
+        for v, dec in splits:
             count += 1
             m = dec.m
             g1, g2 = dec.g1(), dec.g2()
@@ -295,7 +297,7 @@ def verify_deletion_lemmas(corpus, field=QQ, corpus_name="", *,
                     violations.append((g6, f"prop-sat-del-cm v={v}"))
         # non-cut-vertex unmixedness transfer
         for v in g.vertices():
-            if v in cut_vertices(g) or g.degree(v) == 0:
+            if v in cuts or g.degree(v) == 0:
                 continue
             count += 1
             gv = saturate(g, v)
@@ -312,8 +314,11 @@ def whiskered_sides(g, v):
     dec = decompose_at(g, v)
     if isinstance(dec, str):
         raise ValueError(f"{v} is not a cut vertex")
-    g1, g2 = dec.g1(), dec.g2()
-    return add_whisker(g1, dec.m), add_whisker(g2, 1)
+    return _whiskered(dec)
+
+
+def _whiskered(dec):
+    return add_whisker(dec.g1(), dec.m), add_whisker(dec.g2(), 1)
 
 
 def verify_gluing_theorems(corpus, field=QQ, corpus_name="",
@@ -333,22 +338,26 @@ def verify_gluing_theorems(corpus, field=QQ, corpus_name="",
     hypo = []
     count = 0
     for g in corpus:
-        g6 = emit_graph6(g)
-        cuts = sorted(cut_vertices(g))
-        if not cuts:
+        bd = blocks(g)
+        if not bd.cut_vertices:
             continue
+        splits = _two_sided_splits(g, bd.cut_vertices)
+        if splits is None:
+            cm.indeterminate += 1
+            continue
+        g6 = emit_graph6(g)
         g_cm = cm(g)
-        for v in cuts:
+        g_unmixed = functools.cache(lambda g=g: cs.is_unmixed(g).unmixed)
+        for v, dec in splits:
             count += 1
-            w1, w2 = whiskered_sides(g, v)
+            w1, w2 = _whiskered(dec)
             sides_cm = cm(w1) and cm(w2)    # None when not known
             if g_cm and sides_cm is False:
                 violations.append((g6, f"forward-whisker v={v}"))
-            if check_converse and sides_cm and cs.is_unmixed(g).unmixed:
+            if check_converse and sides_cm and g_unmixed():
                 if g_cm is False:
                     hypo.append((g6, f"converse-whisker v={v}"))
         if g_cm:
-            bd = blocks(g)
             for b in bd.blocks:
                 count += 1
                 bw = block_with_whiskers(g, b, bd.cut_vertices & b)
@@ -440,8 +449,8 @@ def verify_identification(corpus_pairs, field=QQ, corpus_name=""):
                        hypothesis_relevant=tuple(hypo))
 
 
-def hypothesis_search(corpus, field=QQ, corpus_name="",
-                      girth4_scan=True, *, face_budget=DEFAULT_FACE_BUDGET,
+def hypothesis_search(corpus, field=QQ, corpus_name="", *,
+                      face_budget=DEFAULT_FACE_BUDGET,
                       lattice_budget=DEFAULT_LATTICE_BUDGET):
     """Scan for counterexamples to the open deletion hypothesis and for CM
     girth-4 graphs carrying a long induced cycle. Findings are search
@@ -459,7 +468,7 @@ def hypothesis_search(corpus, field=QQ, corpus_name="",
                 continue
             if cm_g() and cm(del_v) is False:
                 findings.append((g6, f"hypothesis-counterexample v={v}"))
-        if girth4_scan and girth(g) == 4:
+        if girth(g) == 4:
             count += 1
             if any(l >= 5 for l in induced_cycle_lengths(g)):
                 if cm_g():
@@ -538,10 +547,12 @@ def verify_depth_equality(corpus, field=QQ, corpus_name="", *,
     indeterminate = 0
     count = 0
     for g in corpus:
+        splits = _two_sided_splits(g, cut_vertices(g))
+        if splits is None:
+            indeterminate += 1
+            continue
         g6 = emit_graph6(g)
-        for v in sorted(cut_vertices(g)):
-            if isinstance(decompose_at(g, v), str):
-                continue
+        for v, _ in splits:
             count += 1
             rec = depth_equality_check(g, v, field, lattice_budget,
                                        face_budget)

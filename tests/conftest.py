@@ -1,6 +1,9 @@
+import itertools
+import random
+
 import pytest
 
-from beilab.graphs import parse_edge_list
+from beilab.graphs import Graph, parse_edge_list
 from beilab.corpus import connected_graphs, connected_graphs_upto
 
 # the n=12 running example: two blocks of girth 3 and 4 joined through a
@@ -13,6 +16,21 @@ FIG_EDGES = [(1, 2), (2, 3), (2, 4), (2, 6), (3, 5), (3, 6), (4, 5),
 def fig_text():
     lines = [f"12 {len(FIG_EDGES)}"] + [f"{a} {b}" for a, b in FIG_EDGES]
     return "\n".join(lines) + "\n"
+
+
+def random_graphs_any(seed, count, n_max=9):
+    """The empty graph, then ``count`` random labeled graphs with 0..n_max
+    vertices and a random edge density: disconnected graphs and isolated
+    vertices included."""
+    rng = random.Random(seed)
+    out = [Graph(0)]
+    for _ in range(count):
+        n = rng.randint(0, n_max)
+        p = rng.random()
+        out.append(Graph.from_edges(n, [
+            e for e in itertools.combinations(range(1, n + 1), 2)
+            if rng.random() < p]))
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -125,6 +125,24 @@ def test_verify_exit_code_precedence(monkeypatch, violations, indeterminate,
     assert cli.cmd_verify(args, out=io.StringIO()) == code
 
 
+@pytest.mark.parametrize("theorem", sorted(cli.VERIFIERS))
+def test_verify_disconnected_and_empty_graphs(monkeypatch, theorem):
+    # P3 + K1 has a cut vertex, 2K2 has none, "0 0" is the empty graph
+    for text in ("4 2\n1 2\n2 3\n", "4 2\n1 2\n3 4\n", "0 0\n"):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        args = cli.build_parser().parse_args(["verify", theorem, "-"])
+        buf = io.StringIO()
+        assert cli.cmd_verify(args, out=buf) in (0, 2, 3)
+        lines = buf.getvalue().splitlines()
+        assert len(lines) == 1
+        data = json.loads(lines[0])
+        assert data["theorem"] == theorem and data["violations"] == []
+        if text.startswith("4 2\n1 2\n2 3") and theorem in (
+                "deletion", "gluing", "depth-equality"):
+            # the split verifiers count an unsplit graph as indeterminate
+            assert data["indeterminate"] == 1
+
+
 def test_verify_unknown_theorem():
     code, _, err = run_cli(["verify", "no-such-theorem", "-"], stdin="Bg\n")
     assert code == 64

@@ -10,6 +10,7 @@ from beilab.cutsets import (accessibility_chain, component_count,
 from beilab.graphs import (complete_graph, cut_vertices, cycle_graph,
                            is_free_vertex, path_graph)
 from beilab.corpus import random_connected_graph
+from conftest import random_graphs_any
 
 
 def brute_cutsets(g):
@@ -42,8 +43,8 @@ def test_cutsets_small_examples():
 
 def test_enumerate_matches_brute_definition():
     rng = random.Random(11)
-    for _ in range(40):
-        g = random_connected_graph(rng, 7)
+    connected = [random_connected_graph(rng, 7) for _ in range(40)]
+    for g in connected + random_graphs_any(12, 60, n_max=7):
         got = {c.vertices for c in enumerate_cutsets(g)}
         assert got == brute_cutsets(g)
         for c in enumerate_cutsets(g):

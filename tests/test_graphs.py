@@ -11,6 +11,7 @@ from beilab.graphs import (Graph, GraphParseError, INFINITY,
                            is_connected, is_free_vertex, parse_edge_list,
                            parse_graph6, path_graph, saturate)
 from beilab.corpus import random_connected_graph
+from conftest import random_graphs_any
 
 import random
 
@@ -81,17 +82,20 @@ def test_components_against_networkx():
 
 
 def test_cut_vertices_against_networkx():
-    for g in random_graphs(303, 60):
+    for g in random_graphs(303, 60) + random_graphs_any(305, 300):
         assert cut_vertices(g) == frozenset(nx.articulation_points(to_nx(g)))
 
 
 def test_blocks_against_networkx():
-    for g in random_graphs(404, 60):
+    for g in random_graphs(404, 60) + random_graphs_any(405, 300):
         bd = blocks(g)
-        theirs = {frozenset(b) for b in nx.biconnected_components(to_nx(g))}
-        # isolated vertices have no biconnected component in networkx
-        ours = {frozenset(b) for b in bd.blocks if len(b) > 1}
-        assert ours == theirs
+        h = to_nx(g)
+        theirs = {frozenset(b) for b in nx.biconnected_components(h)}
+        # isolated vertices have no biconnected component in networkx;
+        # here each is a block of its own
+        theirs |= {frozenset([v]) for v in nx.isolates(h)}
+        assert set(bd.blocks) == theirs and len(bd.blocks) == len(theirs)
+        assert bd.cut_vertices == cut_vertices(g)
 
 
 def test_fig_cut_vertices_and_blocks(fig):
