@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 from . import monomials as mono
 from .cutsets import Cutset, enumerate_cutsets, is_cutset
-from .graphs import connected_components, decompose_at, saturate
+from .graphs import (Graph, connected_components, decompose_at, relabel,
+                     saturate)
 
 DEFAULT_PATH_CAP = 14
 
@@ -51,24 +52,16 @@ class PrimeComponentInitial:
         return bin(self.mask).count("1")
 
 
-def _adjacency_on(g, vertices, extra_edges=()):
-    """Neighbor dict (mutable sets) of the subgraph induced on the vertex
-    subset and the ends of the extra edges, plus the extra edges."""
-    vs = set(vertices).union(*extra_edges)
-    adj = {v: vs & g.neighbors(v) for v in vs}
-    for i, j in extra_edges:
-        adj[i].add(j)
-        adj[j].add(i)
-    return adj
-
-
-def _admissible_paths_adj(adj):
-    """All admissible paths of the labeled graph given by a neighbor dict.
+def admissible_paths(g, cap=DEFAULT_PATH_CAP):
+    """All admissible paths of the labeled graph g.
 
     A path i = i_0, ..., i_r = j with i < j is admissible when its interior
     vertices all lie below i or above j and the path is induced (which is
     exactly the paper-level no-induced-cycle condition on its vertex set).
     """
+    if g.n > cap:
+        raise ValueError(f"admissible-path enumeration capped at n={cap}")
+    adj = g.adjacency()
     out = []
 
     def grow(i, j, path, members):
@@ -88,17 +81,9 @@ def _admissible_paths_adj(adj):
             members.discard(w)
             path.pop()
 
-    for i in sorted(adj):
-        for j in sorted(adj):
-            if i < j:
-                grow(i, j, [i], {i})
+    for i, j in itertools.combinations(g.vertices(), 2):
+        grow(i, j, [i], {i})
     return out
-
-
-def admissible_paths(g, cap=DEFAULT_PATH_CAP):
-    if g.n > cap:
-        raise ValueError(f"admissible-path enumeration capped at n={cap}")
-    return _admissible_paths_adj(g.adjacency())
 
 
 def path_monomial(path, n):
@@ -122,30 +107,6 @@ def initial_ideal(g, cap=DEFAULT_PATH_CAP):
     if len(ideal.gens) != len(masks):
         raise AssertionError("admissible-path generators should form an antichain")
     return ideal
-
-
-def initial_ideal_on(g, vertices, n, extra_edges=(), saturate_at=None,
-                     drop=()):
-    """in(J_H) for a labeled subgraph H of g, in the ambient 2n universe.
-
-    H is the induced subgraph on ``vertices`` (labels kept) plus any
-    ``extra_edges``; optionally its neighborhood at ``saturate_at`` is
-    completed first, and the vertices in ``drop`` deleted afterwards.
-    Order-preserving labels make the admissible-path structure intrinsic.
-    """
-    adj = _adjacency_on(g, vertices, extra_edges)
-    if saturate_at is not None:
-        nb = sorted(adj[saturate_at])
-        for a, b in itertools.combinations(nb, 2):
-            adj[a].add(b)
-            adj[b].add(a)
-    for v in drop:
-        for u in adj[v]:
-            adj[u].discard(v)
-        del adj[v]
-    paths = _admissible_paths_adj(adj)
-    masks = [path_monomial(p, n) for p in paths]
-    return mono.MonomialIdeal.make(2 * n, masks)
 
 
 def prime_PT(g, t):
@@ -226,8 +187,7 @@ def _relabel_last(g, v):
     mapping = [0] * g.n
     for new, old in enumerate(order, start=1):
         mapping[old - 1] = new
-    from .graphs import Relabeling, relabel
-    return relabel(g, Relabeling(tuple(mapping)))
+    return relabel(g, mapping)
 
 
 def colon_saturation_identity(g, v, cap=DEFAULT_PATH_CAP):
@@ -258,31 +218,35 @@ def setup_identities(g, v, cap=DEFAULT_PATH_CAP):
 
     The graph is split and relabeled at the cut vertex v; both sides of
     every identity are materialized independently (graph constructions on
-    the right, ideal arithmetic on the left).
+    the right, ideal arithmetic on the left). Every subgraph keeps the
+    split graph's n labels, so its initial ideal lives in the same 2n
+    variables.
     """
     dec = decompose_at(g, v)
-    if dec == "NOT_A_CUT_VERTEX" or isinstance(dec, str):
+    if isinstance(dec, str):
         raise ValueError(f"{v} is not a cut vertex")
     gp, m, n = dec.graph, dec.m, g.n
     nvars = 2 * n
     xm = 1 << mono.xvar(m, n)
     ym = 1 << mono.yvar(m, n)
-    side1 = range(1, m + 1)
-    side2 = range(m, n + 1)
     r = sum(1 for u in gp.neighbors(m) if u < m)
     s = sum(1 for u in gp.neighbors(m) if u > m)
 
-    ii = initial_ideal_on(gp, gp.vertices(), n)
-    in_g1 = initial_ideal_on(gp, side1, n)
-    in_g2 = initial_ideal_on(gp, side2, n)
-    # whiskered sides: tips are m+1 (side one) and m-1 (side two)
-    i1 = initial_ideal_on(gp, side1, n, extra_edges=[(m, m + 1)])
-    i2 = initial_ideal_on(gp, side2, n, extra_edges=[(m - 1, m)])
-    j1 = initial_ideal_on(gp, range(1, m), n)
-    j2 = initial_ideal_on(gp, range(m + 1, n + 1), n)
-    in_g1m = initial_ideal_on(gp, side1, n, saturate_at=m)
-    in_g2m = initial_ideal_on(gp, side2, n, saturate_at=m)
-    in_g2m_minus = initial_ideal_on(gp, side2, n, saturate_at=m, drop=[m])
+    g1 = _induced(gp, range(1, m + 1))     # side one
+    g2 = _induced(gp, range(m, n + 1))     # side two
+    g2m = saturate(g2, m)
+    ii = initial_ideal(gp, cap)
+    in_g1 = initial_ideal(g1, cap)
+    in_g2 = initial_ideal(g2, cap)
+    # whiskered sides: m+1 is a side-two neighbor of m, the tip of side
+    # one's whisker, and m-1 a side-one neighbor, the tip of side two's
+    i1 = initial_ideal(_induced(gp, range(1, m + 2)), cap)
+    i2 = initial_ideal(_induced(gp, range(m - 1, n + 1)), cap)
+    j1 = initial_ideal(_induced(gp, range(1, m)), cap)
+    j2 = initial_ideal(_induced(gp, range(m + 1, n + 1)), cap)
+    in_g1m = initial_ideal(saturate(g1, m), cap)
+    in_g2m = initial_ideal(g2m, cap)
+    in_g2m_minus = initial_ideal(_induced(g2m, range(m + 1, n + 1)), cap)
 
     a1_vars = _var_mask(range(1, m), n)
     a2_vars = _var_mask(range(m + 1, n + 1), n)
@@ -335,6 +299,13 @@ def setup_identities(g, v, cap=DEFAULT_PATH_CAP):
     res[11] = _verdict(eq(mono.colon(ii, xm), mono.add_ideals(i2pp, in_g1m)))
 
     return SetupReport(m=m, results=res, memberships_ok=member1 and member2)
+
+
+def _induced(g, vertices):
+    """The subgraph of g induced on ``vertices``, on g's n labels."""
+    vs = frozenset(vertices)
+    return Graph(g.n, frozenset((i, j) for i, j in g.edges
+                                if i in vs and j in vs))
 
 
 def _verdict(ok):

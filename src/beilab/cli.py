@@ -5,9 +5,9 @@ Subcommands:
   verify         run a theorem verifier over a graph corpus
   initial-ideal  print the square-free initial ideal generators
 
-Exit codes: 0 success, 1 parse error or violation, 2 indeterminate (budget
-or cap hit), 3 hypothesis-relevant findings only, 64 unknown theorem id;
-a violation beats indeterminate, which beats findings.
+Exit codes: 0 success, 1 parse or usage error or violation, 2
+indeterminate (budget or cap hit), 3 hypothesis-relevant findings only, 64
+unknown theorem id; a violation beats indeterminate, which beats findings.
 """
 
 from __future__ import annotations
@@ -41,14 +41,21 @@ class RunConfig:
     lattice_budget: int = DEFAULT_LATTICE_BUDGET
     max_n: int = 16
     threads: int = 1
-    seed: int = 0
 
 
-def _env_default(name, fallback, cast=int):
-    raw = os.environ.get(_ENV_PREFIX + name)
-    if raw is None:
-        return fallback
-    return cast(raw)
+def _env_default(name, fallback):
+    """The BEI_<name> value as its raw string, which the flag's own type
+    converts, or the built-in fallback."""
+    return os.environ.get(_ENV_PREFIX + name, fallback)
+
+
+def _characteristic(text):
+    """--field's type: 0 for the rationals, or a prime."""
+    try:
+        return FieldSpec(int(text)).characteristic
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is neither 0 nor a prime") from None
 
 
 def build_parser():
@@ -64,12 +71,11 @@ def build_parser():
                         default=_env_default("LATTICE_BUDGET",
                                              DEFAULT_LATTICE_BUDGET))
         sp.add_argument("--max-n", type=int, default=_env_default("MAX_N", 16))
-        sp.add_argument("--field", type=int,
+        sp.add_argument("--field", type=_characteristic,
                         default=_env_default("FIELD", 0),
                         help="characteristic: 0 or a prime")
         sp.add_argument("--threads", type=int,
                         default=_env_default("THREADS", 1))
-        sp.add_argument("--seed", type=int, default=_env_default("SEED", 0))
 
     a = sub.add_parser("analyze", help="per-graph JSON reports")
     a.add_argument("input", help="file path or - for stdin")
@@ -91,8 +97,7 @@ def _config(args):
                      face_budget=args.face_budget,
                      lattice_budget=args.lattice_budget,
                      max_n=args.max_n,
-                     threads=max(1, args.threads),
-                     seed=args.seed)
+                     threads=max(1, args.threads))
 
 
 def _read_text(path):
@@ -220,7 +225,11 @@ def cmd_initial_ideal(args, out=sys.stdout):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as stop:
+        # argparse exits 2 on a usage error, and 2 means indeterminate here
+        return EXIT_PARSE if stop.code == 2 else stop.code
     if args.command == "analyze":
         return cmd_analyze(args)
     if args.command == "verify":

@@ -64,28 +64,6 @@ class Graph:
 
 
 @dataclass(frozen=True)
-class Relabeling:
-    """Bijection old label -> new label on 1..n."""
-
-    mapping: tuple  # mapping[i-1] = new label of old vertex i
-
-    def __post_init__(self):
-        n = len(self.mapping)
-        if sorted(self.mapping) != list(range(1, n + 1)):
-            raise ValueError("relabeling is not a permutation of 1..n")
-
-    def apply(self, v):
-        return self.mapping[v - 1]
-
-    def inverse(self):
-        n = len(self.mapping)
-        inv = [0] * n
-        for old, new in enumerate(self.mapping, start=1):
-            inv[new - 1] = old
-        return Relabeling(tuple(inv))
-
-
-@dataclass(frozen=True)
 class BlockDecomposition:
     blocks: tuple       # tuple of frozensets of vertices
     cut_vertices: frozenset
@@ -102,15 +80,6 @@ class Decomposition:
 
     graph: "Graph"
     m: int
-    relabeling: Relabeling  # old label -> new label of the input graph
-
-    @property
-    def side1(self):
-        return frozenset(range(1, self.m + 1))
-
-    @property
-    def side2(self):
-        return frozenset(range(self.m, self.graph.n + 1))
 
     def g1(self):
         g, _ = delete_vertices(self.graph, set(range(self.m + 1, self.graph.n + 1)))
@@ -404,10 +373,8 @@ def saturate(g, v):
 def delete_vertices(g, removed):
     """Induced subgraph on the complement, with an order-preserving relabeling.
 
-    Returns (graph, relabeling) where relabeling maps surviving old labels
-    to 1..n-|removed| (non-surviving labels keep a placeholder of 0 in the
-    mapping tuple is not allowed, so the relabeling is on survivors only,
-    exposed as a dict).
+    Returns (graph, new_of), where the dict new_of maps each surviving old
+    label to its label in 1..n-|removed|.
     """
     removed = set(removed)
     survivors = [v for v in g.vertices() if v not in removed]
@@ -425,11 +392,13 @@ def add_whisker(g, v):
 
 
 def relabel(g, perm):
-    """Apply a Relabeling (or mapping tuple) to the graph."""
-    if not isinstance(perm, Relabeling):
-        perm = Relabeling(tuple(perm))
-    edges = [(perm.apply(i), perm.apply(j)) for i, j in g.edges]
-    return Graph.from_edges(g.n, edges)
+    """The graph with each vertex i renamed perm[i-1], for a permutation
+    perm of 1..n given as a tuple."""
+    perm = tuple(perm)
+    if sorted(perm) != list(g.vertices()):
+        raise ValueError("relabeling is not a permutation of 1..n")
+    return Graph.from_edges(g.n, [(perm[i - 1], perm[j - 1])
+                                  for i, j in g.edges])
 
 
 def decompose_at(g, v):
@@ -456,8 +425,7 @@ def decompose_at(g, v):
     mapping = [0] * g.n
     for new, old in enumerate(order, start=1):
         mapping[old - 1] = new
-    rel = Relabeling(tuple(mapping))
-    return Decomposition(graph=relabel(g, rel), m=len(side1), relabeling=rel)
+    return Decomposition(graph=relabel(g, mapping), m=len(side1))
 
 
 def glue_at(g, v, h, w):
@@ -503,15 +471,10 @@ def block_with_whiskers(g, block, whisker_at):
         for comp in connected_components(g, frozenset([v])):
             if not comp & block:
                 keep |= comp   # branch hanging off v, kept verbatim
-    kept = sorted(keep)
-    new_of = {old: i for i, old in enumerate(kept, start=1)}
-    edges = [(new_of[i], new_of[j]) for i, j in g.edges
-             if i in keep and j in keep]
-    n = len(kept)
+    h, new_of = delete_vertices(g, set(g.vertices()) - keep)
     for v in sorted(whisker_at):
-        n += 1
-        edges.append((new_of[v], n))
-    return Graph.from_edges(n, edges)
+        h = add_whisker(h, new_of[v])
+    return h
 
 
 # small builders used everywhere in tests

@@ -487,8 +487,15 @@ class DepthEqualityRecord:
 def depth_equality_check(g, v, field=QQ, budget=DEFAULT_LATTICE_BUDGET,
                          face_budget=DEFAULT_FACE_BUDGET):
     """depth(S/J_G) versus depth of the two whiskered sides minus four."""
-    w1, w2 = whiskered_sides(g, v)
-    parts = [depth_JG(x, field, budget, face_budget) for x in (g, w1, w2)]
+    return _depth_equality(depth_JG(g, field, budget, face_budget),
+                           whiskered_sides(g, v), field, budget, face_budget)
+
+
+def _depth_equality(depth_g, sides, field, budget, face_budget):
+    """The record for depth(S/J_G) given as ``depth_g``, and the pair of
+    whiskered sides of one split of G."""
+    parts = [depth_g] + [depth_JG(x, field, budget, face_budget)
+                         for x in sides]
     if any(p.indeterminate for p in parts):
         return DepthEqualityRecord(None, None, None)
     lhs = parts[0].depth
@@ -551,11 +558,14 @@ def verify_depth_equality(corpus, field=QQ, corpus_name="", *,
         if splits is None:
             indeterminate += 1
             continue
+        if not splits:
+            continue
         g6 = emit_graph6(g)
-        for v, _ in splits:
+        depth_g = depth_JG(g, field, lattice_budget, face_budget)
+        for v, dec in splits:
             count += 1
-            rec = depth_equality_check(g, v, field, lattice_budget,
-                                       face_budget)
+            rec = _depth_equality(depth_g, _whiskered(dec), field,
+                                  lattice_budget, face_budget)
             if rec.equal is None:
                 indeterminate += 1
             elif not rec.equal:

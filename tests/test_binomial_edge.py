@@ -4,10 +4,10 @@ import pytest
 import sympy as sp
 from sympy import groebner, symbols
 
-from beilab.binomial_edge import (admissible_paths, ass_initial,
+from beilab.binomial_edge import (_induced, admissible_paths, ass_initial,
                                   colon_saturation_identity, initial_ideal,
-                                  prime_PT, prime_ideal, setup_identities,
-                                  verify_decomposition)
+                                  path_monomial, prime_PT, prime_ideal,
+                                  setup_identities, verify_decomposition)
 from beilab.cutsets import enumerate_cutsets
 from beilab.graphs import (Graph, complete_graph, cut_vertices, cycle_graph,
                            decompose_at, glue_at, parse_edge_list,
@@ -117,6 +117,22 @@ def test_colon_saturation_identity_seeded():
         g = random_connected_graph(rng, 8)
         v = rng.choice(sorted(g.vertices()))
         assert colon_saturation_identity(g, v)
+
+
+def test_induced_subgraph_ideal_is_made_of_its_own_paths():
+    """in(J_H) for H induced on S with g's labels: the monomials of g's
+    admissible paths inside S, in the same 2n variables as in(J_G)."""
+    rng = random.Random(606)
+    for _ in range(150):
+        g = random_connected_graph(rng, 8)
+        paths = admissible_paths(g)
+        for _ in range(3):
+            s = {v for v in g.vertices() if rng.random() < 0.6}
+            h = _induced(g, s)
+            assert h.n == g.n
+            inside = {path_monomial(p, g.n) for p in paths
+                      if set(p.vertices) <= s}
+            assert set(initial_ideal(h).gens) == inside
 
 
 def random_two_block_gluing(rng, n_total=9):

@@ -177,6 +177,21 @@ def test_flag_overrides_env(monkeypatch):
     assert args.field == 0
 
 
+@pytest.mark.parametrize("flags, env", [
+    (["--field", "4"], {}),
+    (["--field", "1"], {}),
+    ([], {"BEI_FIELD": "x"}),
+    ([], {"BEI_FACE_BUDGET": "abc"}),
+    (["--face-budget", "abc"], {}),
+])
+def test_bad_flag_or_env_value_is_a_parse_error(monkeypatch, flags, env):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code, out, err = run_cli(["analyze", "-", *flags], stdin="Bg\n")
+    assert code == 1 and out == ""
+    assert "error" in err and "Traceback" not in err
+
+
 def test_determinism_across_thread_counts(tmp_path):
     stdin = "Bg\nC~\nDhc\nD~{\n"
     _, out1, _ = run_cli(["analyze", "-", "--threads", "1"], stdin=stdin)

@@ -9,7 +9,7 @@ from beilab.graphs import (Graph, GraphParseError, INFINITY,
                            decompose_at, delete_vertices, emit_graph6,
                            girth, glue_at, induced_cycle_lengths,
                            is_connected, is_free_vertex, parse_edge_list,
-                           parse_graph6, path_graph, saturate)
+                           parse_graph6, path_graph, relabel, saturate)
 from beilab.corpus import random_connected_graph
 from conftest import random_graphs_any
 
@@ -168,6 +168,28 @@ def test_delete_vertices_relabels_order_preserving():
     assert h.n == 4
     assert new_of == {1: 1, 3: 2, 4: 3, 5: 4}
     assert (1, 4) in h.edges and (2, 3) in h.edges
+
+
+def test_relabel_identity_and_inverse_round_trip():
+    rng = random.Random(31)
+    for g in random_graphs(31, 40):
+        assert relabel(g, tuple(g.vertices())) == g
+        perm = list(g.vertices())
+        rng.shuffle(perm)
+        h = relabel(g, perm)
+        assert len(h.edges) == len(g.edges)
+        assert all(h.has_edge(perm[i - 1], perm[j - 1]) for i, j in g.edges)
+        inverse = [0] * g.n
+        for old, new in enumerate(perm, start=1):
+            inverse[new - 1] = old
+        assert relabel(h, inverse) == g
+
+
+@pytest.mark.parametrize("perm", [(1, 1, 3), (0, 1, 2), (2, 3, 4), (1, 2),
+                                  (1, 2, 3, 4)])
+def test_relabel_rejects_a_non_permutation(perm):
+    with pytest.raises(ValueError, match="not a permutation"):
+        relabel(path_graph(3), perm)
 
 
 def test_add_whisker():
