@@ -52,15 +52,15 @@ class PrimeComponentInitial:
         return bin(self.mask).count("1")
 
 
-def admissible_paths(g, cap=DEFAULT_PATH_CAP):
+def admissible_paths(g):
     """All admissible paths of the labeled graph g.
 
     A path i = i_0, ..., i_r = j with i < j is admissible when its interior
     vertices all lie below i or above j and the path is induced (which is
     exactly the paper-level no-induced-cycle condition on its vertex set).
     """
-    if g.n > cap:
-        raise ValueError(f"admissible-path enumeration capped at n={cap}")
+    if g.n > DEFAULT_PATH_CAP:
+        raise ValueError(f"admissible-path enumeration capped at n={DEFAULT_PATH_CAP}")
     adj = g.adjacency()
     out = []
 
@@ -98,9 +98,9 @@ def path_monomial(path, n):
     return mask
 
 
-def initial_ideal(g, cap=DEFAULT_PATH_CAP):
+def initial_ideal(g):
     """in(J_G) in the 2n-variable universe, from the admissible paths of g."""
-    paths = admissible_paths(g, cap)
+    paths = admissible_paths(g)
     n = g.n
     masks = [path_monomial(p, n) for p in paths]
     ideal = mono.MonomialIdeal.make(2 * n, masks)
@@ -148,9 +148,8 @@ def prime_PTv(g, t, choice):
 def ass_initial(g):
     """Ass(in(J_G)) = all P_T(v) over cutsets T and component choices v,
     checked against the height formula and for pairwise incomparability."""
-    cuts = enumerate_cutsets(g, cap=g.n)    # uncapped
     primes = []
-    for t in cuts:
+    for t in enumerate_cutsets(g):
         comps = connected_components(g, t.vertices)
         for choice in itertools.product(*[sorted(c) for c in comps]):
             primes.append(prime_PTv(g, t.vertices, choice))
@@ -169,10 +168,10 @@ def prime_ideal(p, nvars):
     return mono.MonomialIdeal.make(nvars, [1 << b for b in bits])
 
 
-def verify_decomposition(g, cap=DEFAULT_PATH_CAP):
+def verify_decomposition(g):
     """in(J_G) equals the intersection of all its associated primes."""
     nvars = 2 * g.n
-    ini = initial_ideal(g, cap=cap)
+    ini = initial_ideal(g)
     acc = mono.MonomialIdeal.make(nvars, (0,))  # unit ideal
     for p in ass_initial(g):
         acc = mono.intersect(acc, prime_ideal(p, nvars))
@@ -190,12 +189,12 @@ def _relabel_last(g, v):
     return relabel(g, mapping)
 
 
-def colon_saturation_identity(g, v, cap=DEFAULT_PATH_CAP):
+def colon_saturation_identity(g, v):
     """(in(J_G) : x_n) = in(J_{G_n}) after relabeling v to n."""
     gp = _relabel_last(g, v)
     n = gp.n
-    lhs = mono.colon(initial_ideal(gp, cap=cap), 1 << mono.xvar(n, n))
-    rhs = initial_ideal(saturate(gp, n), cap=cap)
+    lhs = mono.colon(initial_ideal(gp), 1 << mono.xvar(n, n))
+    rhs = initial_ideal(saturate(gp, n))
     return mono.equal(lhs, rhs)
 
 
@@ -213,7 +212,7 @@ class SetupReport:
                                            for v in self.results.values())
 
 
-def setup_identities(g, v, cap=DEFAULT_PATH_CAP):
+def setup_identities(g, v):
     """Check the eleven colon/sum identities of the two-block labeling.
 
     The graph is split and relabeled at the cut vertex v; both sides of
@@ -235,18 +234,18 @@ def setup_identities(g, v, cap=DEFAULT_PATH_CAP):
     g1 = _induced(gp, range(1, m + 1))     # side one
     g2 = _induced(gp, range(m, n + 1))     # side two
     g2m = saturate(g2, m)
-    ii = initial_ideal(gp, cap)
-    in_g1 = initial_ideal(g1, cap)
-    in_g2 = initial_ideal(g2, cap)
+    ii = initial_ideal(gp)
+    in_g1 = initial_ideal(g1)
+    in_g2 = initial_ideal(g2)
     # whiskered sides: m+1 is a side-two neighbor of m, the tip of side
     # one's whisker, and m-1 a side-one neighbor, the tip of side two's
-    i1 = initial_ideal(_induced(gp, range(1, m + 2)), cap)
-    i2 = initial_ideal(_induced(gp, range(m - 1, n + 1)), cap)
-    j1 = initial_ideal(_induced(gp, range(1, m)), cap)
-    j2 = initial_ideal(_induced(gp, range(m + 1, n + 1)), cap)
-    in_g1m = initial_ideal(saturate(g1, m), cap)
-    in_g2m = initial_ideal(g2m, cap)
-    in_g2m_minus = initial_ideal(_induced(g2m, range(m + 1, n + 1)), cap)
+    i1 = initial_ideal(_induced(gp, range(1, m + 2)))
+    i2 = initial_ideal(_induced(gp, range(m - 1, n + 1)))
+    j1 = initial_ideal(_induced(gp, range(1, m)))
+    j2 = initial_ideal(_induced(gp, range(m + 1, n + 1)))
+    in_g1m = initial_ideal(saturate(g1, m))
+    in_g2m = initial_ideal(g2m)
+    in_g2m_minus = initial_ideal(_induced(g2m, range(m + 1, n + 1)))
 
     a1_vars = _var_mask(range(1, m), n)
     a2_vars = _var_mask(range(m + 1, n + 1), n)

@@ -101,10 +101,13 @@ def _config(args):
 
 
 def _read_text(path):
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="ascii") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="ascii") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        raise GraphParseError(f"byte {e.start}: not ASCII text") from None
 
 
 def _looks_graph6(line):

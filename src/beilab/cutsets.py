@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .graphs import connected_components, is_free_vertex
+from .graphs import connected_components, is_free_vertex, per_graph
 
 DEFAULT_CUTSET_CAP = 24
 
@@ -48,16 +48,19 @@ def is_cutset(g, t):
     return all(component_count(g, t - {v}) < c_full for v in t)
 
 
-def enumerate_cutsets(g, cap=DEFAULT_CUTSET_CAP):
-    """All cutsets, each with its cached component count.
+def enumerate_cutsets(g):
+    """All cutsets with their component counts, by size, then by vertices."""
+    return list(_lattice(g))
 
-    Order: by increasing size, then lexicographically on the sorted vertex
-    tuple. Subsets containing a free vertex are skipped wholesale (a free
-    vertex lies in no cutset). Components are counted once per candidate;
-    is_cutset's c(T - {v}) is read from the counts of the size below.
-    """
-    if g.n > cap:
-        raise ValueError(f"cutset enumeration capped at n={cap}")
+
+@per_graph
+def _lattice(g):
+    """The cutsets of g as a tuple, once per graph. Subsets containing a
+    free vertex are skipped wholesale (a free vertex lies in no cutset).
+    Components are counted once per candidate; is_cutset's c(T - {v}) is
+    read from the counts of the size below."""
+    if g.n > DEFAULT_CUTSET_CAP:
+        raise ValueError(f"cutset enumeration capped at n={DEFAULT_CUTSET_CAP}")
     nonfree = sorted(v for v in g.vertices() if not is_free_vertex(g, v))
     prev = {frozenset(): component_count(g)}    # c(S), S one size smaller
     out = [Cutset(frozenset(), prev[frozenset()])]
@@ -69,13 +72,13 @@ def enumerate_cutsets(g, cap=DEFAULT_CUTSET_CAP):
             if all(prev[t - {v}] < c_full for v in t):
                 out.append(Cutset(t, c_full))
         prev = counts
-    return out
+    return tuple(out)
 
 
-def is_unmixed(g, cap=DEFAULT_CUTSET_CAP, cutsets=None):
+def is_unmixed(g):
     """Combinatorial unmixedness: c(T) = |T| + c for every cutset T."""
-    cuts = cutsets if cutsets is not None else enumerate_cutsets(g, cap)
-    c = component_count(g)
+    cuts = _lattice(g)
+    c = cuts[0].c    # the empty cutset: the components of g
     witness = None
     excess = 0
     for t in cuts:
@@ -86,26 +89,24 @@ def is_unmixed(g, cap=DEFAULT_CUTSET_CAP, cutsets=None):
                              dim=g.n + excess)
 
 
-def is_accessible(g, cap=DEFAULT_CUTSET_CAP, cutsets=None):
+def is_accessible(g):
     """Unmixed, plus every nonempty cutset T has t with T - {t} a cutset."""
-    cuts = cutsets if cutsets is not None else enumerate_cutsets(g, cap)
-    unm = is_unmixed(g, cap, cutsets=cuts)
+    unm = is_unmixed(g)
     if not unm.unmixed:
         return AccessibilityReport(False, unm.witness)
+    cuts = _lattice(g)
     members = {t.vertices for t in cuts}
-    for t in cuts:
-        if not t.vertices:
-            continue
+    for t in cuts[1:]:    # every cutset but the empty one, which comes first
         if not any(t.vertices - {v} in members for v in t.vertices):
             return AccessibilityReport(False, t)
     return AccessibilityReport(True, None)
 
 
-def accessibility_chain(g, t, cap=DEFAULT_CUTSET_CAP):
+def accessibility_chain(g, t):
     """A decreasing chain t = T_k > ... > T_0 = {} inside the cutset lattice
     with unit steps, if one exists (constructive witness for accessible
     graphs). Returns the list of cutsets or None."""
-    members = {c.vertices for c in enumerate_cutsets(g, cap)}
+    members = {c.vertices for c in _lattice(g)}
     t = frozenset(t)
     if t not in members:
         return None

@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 INFINITY = float("inf")
 
 DEFAULT_INDUCED_CYCLE_CAP = 16
+per_graph = lru_cache(maxsize=64)   # one graph and the graphs derived from it
 
 
 class GraphParseError(ValueError):
@@ -27,6 +29,8 @@ class Graph:
     edges: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
+        if self.n < 0:
+            raise ValueError(f"negative vertex count n={self.n}")
         adj = {v: set() for v in range(1, self.n + 1)}
         for (i, j) in self.edges:
             if not (1 <= i < j <= self.n):
@@ -190,6 +194,8 @@ def parse_edge_list(text):
         n, m = int(head[0]), int(head[1])
     except ValueError:
         raise GraphParseError("line 1: expected integers 'n m'") from None
+    if n < 0 or m < 0:
+        raise GraphParseError(f"line 1: negative 'n m' ({n} {m})")
     if len(lines) - 1 != m:
         raise GraphParseError(f"expected {m} edge lines, got {len(lines) - 1}")
     edges = []
@@ -197,7 +203,10 @@ def parse_edge_list(text):
         parts = ln.split()
         if len(parts) != 2:
             raise GraphParseError(f"line {k}: expected 'u v'")
-        u, v = int(parts[0]), int(parts[1])
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise GraphParseError(f"line {k}: expected integers 'u v'") from None
         if not (1 <= u < v <= n):
             raise GraphParseError(f"line {k}: edge ({u},{v}) out of range")
         edges.append((u, v))
@@ -239,6 +248,7 @@ def cut_vertices(g):
     return blocks(g).cut_vertices
 
 
+@per_graph
 def blocks(g):
     """Blocks (maximal biconnected subgraphs) and cut vertices of any
     graph, by one depth-first pass per component (Hopcroft-Tarjan). An
@@ -323,10 +333,11 @@ def girth(g):
     return best
 
 
-def induced_cycle_lengths(g, cap=DEFAULT_INDUCED_CYCLE_CAP):
+def induced_cycle_lengths(g):
     """Set of lengths of chordless cycles, by exhaustive path search."""
-    if g.n > cap:
-        raise ValueError(f"induced-cycle enumeration capped at n={cap}")
+    if g.n > DEFAULT_INDUCED_CYCLE_CAP:
+        raise ValueError("induced-cycle enumeration capped at "
+                         f"n={DEFAULT_INDUCED_CYCLE_CAP}")
     adj = g.adjacency()
     lengths = set()
 

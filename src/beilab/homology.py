@@ -19,6 +19,7 @@ from . import monomials as mono
 
 DEFAULT_FACE_BUDGET = 5_000_000
 DEFAULT_LATTICE_BUDGET = 1_000_000
+BRUTE_DEPTH_CAP = 12    # variables; brute_depth_oracle scans 2^n subsets
 # entries kept by each memo: the boundary-rank cache, the depth-lemma memo
 _CACHE_SIZE = 1 << 16
 
@@ -305,19 +306,18 @@ def _depth_lower_bound(n, gens, topk):
     keys on (n, gens, topk), not on ideal objects, so it keeps no ideal
     alive.
     """
-    ideal = mono.MonomialIdeal(n, gens)
-    if ideal.is_zero():
+    if not gens:
         out = n
-    elif ideal.is_unit():
+    elif gens == (0,):
         raise ValueError("unit ideal: the quotient ring is zero")
-    elif all(bin(g).count("1") == 1 for g in ideal.gens):
-        out = n - len(ideal.gens)
-    elif len(ideal.gens) == 1:
+    elif all(bin(g).count("1") == 1 for g in gens):
+        out = n - len(gens)
+    elif len(gens) == 1:
         out = n - 1
     else:
         # split on the most shared variables among non-variable generators
         counts = {}
-        for g in ideal.gens:
+        for g in gens:
             if bin(g).count("1") == 1:
                 continue
             b = g
@@ -328,10 +328,16 @@ def _depth_lower_bound(n, gens, topk):
         cand = sorted(counts, key=lambda m: (-counts[m], m))[:topk]
         out = 0
         for x in cand:
-            quot = mono.colon(ideal, x)
-            plus = mono.MonomialIdeal.make(n, ideal.gens + (x,))
-            out = max(out, min(_depth_lower_bound(n, quot.gens, topk),
-                               _depth_lower_bound(n, plus.gens, topk)))
+            # x is no generator, so both are minimal as built: I + x drops
+            # the generators x divides; I : x strips x from them and keeps
+            # each other generator that no stripped one divides
+            rest = [g for g in gens if not g & x]
+            stripped = [g & ~x for g in gens if g & x]
+            quot = stripped + [g for g in rest
+                               if not any(s & g == s for s in stripped)]
+            out = max(out, min(
+                _depth_lower_bound(n, tuple(sorted(quot)), topk),
+                _depth_lower_bound(n, tuple(sorted(rest + [x])), topk)))
     return out
 
 
@@ -432,10 +438,10 @@ def hochster_depth(ideal, field=QQ, budget=DEFAULT_LATTICE_BUDGET,
     return DepthResult(depth=n - pd_lb, pd=pd_lb, witness=witness)
 
 
-def brute_depth_oracle(ideal, field=QQ, cap=12):
+def brute_depth_oracle(ideal, field=QQ):
     """Same contract as hochster_depth, scanning every vertex subset."""
-    if ideal.nvars > cap:
-        raise ValueError(f"brute-force depth capped at {cap} variables")
+    if ideal.nvars > BRUTE_DEPTH_CAP:
+        raise ValueError(f"brute-force depth capped at {BRUTE_DEPTH_CAP} variables")
     if ideal.is_unit():
         raise ValueError("unit ideal: the quotient ring is zero")
     n = ideal.nvars

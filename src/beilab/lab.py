@@ -100,8 +100,7 @@ def _cm_certificate(field, unm, acc, depth):
 
 
 def cm_check(g, field=QQ, face_budget=DEFAULT_FACE_BUDGET,
-             use_filters=True, lattice_budget=DEFAULT_LATTICE_BUDGET, *,
-             _cutsets=None):
+             use_filters=True, lattice_budget=DEFAULT_LATTICE_BUDGET):
     """Cohen-Macaulayness of the binomial edge ideal: depth == dim, where
     in(J_G) is square-free, so S/J_G and S/in(J_G) share depth and
     dimension (Conca-Varbaro), and the depth is the Hochster squeeze's.
@@ -109,13 +108,10 @@ def cm_check(g, field=QQ, face_budget=DEFAULT_FACE_BUDGET,
     Pre-filters: not unmixed => not CM (cutset witness); not accessible =>
     not CM (known necessity; disable with use_filters=False to force the
     depth route). Otherwise not CM has the witness ("depth", depth, dim),
-    and a depth out of either budget gives is_cm None. ``_cutsets`` lets a
-    caller that has already enumerated the cutsets of g hand them over
-    instead.
+    and a depth out of either budget gives is_cm None.
     """
-    cuts = cs.enumerate_cutsets(g) if _cutsets is None else _cutsets
-    unm = cs.is_unmixed(g, cutsets=cuts)
-    acc = cs.is_accessible(g, cutsets=cuts) if use_filters else None
+    unm = cs.is_unmixed(g)
+    acc = cs.is_accessible(g) if use_filters else None
     return _cm_certificate(field, unm, acc, lambda: hochster_depth(
         initial_ideal(g), field, lattice_budget, face_budget))
 
@@ -134,8 +130,8 @@ def depth_JG(g, field=QQ, budget=DEFAULT_LATTICE_BUDGET,
 def analyze(g, field=QQ, face_budget=DEFAULT_FACE_BUDGET,
             lattice_budget=DEFAULT_LATTICE_BUDGET):
     cuts = cs.enumerate_cutsets(g)
-    unm = cs.is_unmixed(g, cutsets=cuts)
-    acc = cs.is_accessible(g, cutsets=cuts)
+    unm = cs.is_unmixed(g)
+    acc = cs.is_accessible(g)
     # one depth per graph, shared by the CM verdict and the report
     depth = functools.cache(lambda: hochster_depth(
         initial_ideal(g), field, lattice_budget, face_budget))
@@ -205,9 +201,9 @@ class _CMTally:
     lattice_budget: int = DEFAULT_LATTICE_BUDGET
     indeterminate: int = 0
 
-    def __call__(self, g, **kw):
+    def __call__(self, g):
         is_cm = cm_check(g, self.field, self.face_budget,
-                         lattice_budget=self.lattice_budget, **kw).is_cm
+                         lattice_budget=self.lattice_budget).is_cm
         self.indeterminate += is_cm is None
         return is_cm
 
@@ -347,14 +343,13 @@ def verify_gluing_theorems(corpus, field=QQ, corpus_name="",
             continue
         g6 = emit_graph6(g)
         g_cm = cm(g)
-        g_unmixed = functools.cache(lambda g=g: cs.is_unmixed(g).unmixed)
         for v, dec in splits:
             count += 1
             w1, w2 = _whiskered(dec)
             sides_cm = cm(w1) and cm(w2)    # None when not known
             if g_cm and sides_cm is False:
                 violations.append((g6, f"forward-whisker v={v}"))
-            if check_converse and sides_cm and g_unmixed():
+            if check_converse and sides_cm and cs.is_unmixed(g).unmixed:
                 if g_cm is False:
                     hypo.append((g6, f"converse-whisker v={v}"))
         if g_cm:
@@ -401,10 +396,9 @@ def verify_girth_theorem(corpus, field=QQ, corpus_name="", *,
         count += 1
         gi = girth(g)
         ok = gi in (3, 4, INFINITY)
-        cuts = cs.enumerate_cutsets(g)
-        if cs.is_accessible(g, cutsets=cuts).accessible and not ok:
+        if cs.is_accessible(g).accessible and not ok:
             violations.append((emit_graph6(g), f"accessible-girth={gi}"))
-        if cm(g, _cutsets=cuts) and not ok:
+        if cm(g) and not ok:
             violations.append((emit_graph6(g), f"cm-girth={gi}"))
     return cm.verdict("girth", corpus_name, count, tuple(violations))
 

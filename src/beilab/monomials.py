@@ -109,8 +109,10 @@ def equal(a, b):
 def minimal_primes(ideal):
     """Inclusion-minimal transversals of the generator supports.
 
-    Returned as a sorted tuple of variable masks. Branch and bound on the
-    generator list with absorption of dominated partial covers.
+    Returned as a sorted tuple of variable masks. The search branches on
+    each variable of the first generator the partial cover misses and
+    records every complete cover; nothing is pruned, and the covers that
+    are not minimal are dropped only at the end.
     """
     if ideal.is_unit():
         raise ValueError("unit ideal has no minimal primes")
@@ -120,7 +122,6 @@ def minimal_primes(ideal):
     results = []
 
     def search(idx, cover):
-        # prune: already covered by a recorded transversal's subset?
         for g_i in range(idx, len(gens)):
             if gens[g_i] & cover:
                 continue
@@ -198,8 +199,9 @@ def stanley_reisner(ideal):
         return SimplicialComplex(ideal.nvars, ())
     if ideal.is_zero():
         return SimplicialComplex(ideal.nvars, (full,))
-    fac = [full & ~p for p in minimal_primes(ideal)]
-    return SimplicialComplex.make(ideal.nvars, fac)
+    # the minimal primes are an antichain, so their complements are too
+    return SimplicialComplex(ideal.nvars, tuple(sorted(
+        full & ~p for p in minimal_primes(ideal))))
 
 
 def minimal_primes_by_faces(ideal):

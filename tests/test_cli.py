@@ -192,6 +192,20 @@ def test_bad_flag_or_env_value_is_a_parse_error(monkeypatch, flags, env):
     assert "error" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", [["analyze"], ["verify", "girth"],
+                                     ["initial-ideal"]],
+                         ids=["analyze", "verify", "initial-ideal"])
+@pytest.mark.parametrize("data", [b"3 1\n1 x\n", b"-1 0\n",
+                                  "Bg\n\u00e9\n".encode()],
+                         ids=["non-integer", "negative-n", "non-ascii"])
+def test_malformed_input_is_a_parse_error(tmp_path, command, data):
+    path = tmp_path / "input.txt"
+    path.write_bytes(data)
+    code, out, err = run_cli([*command, str(path)])
+    assert code == 1 and out == ""
+    assert "error" in err and "Traceback" not in err
+
+
 def test_determinism_across_thread_counts(tmp_path):
     stdin = "Bg\nC~\nDhc\nD~{\n"
     _, out1, _ = run_cli(["analyze", "-", "--threads", "1"], stdin=stdin)

@@ -64,8 +64,19 @@ def test_parse_edge_list_and_errors():
         parse_edge_list("3 2\n1 2\n")          # missing edge line
     with pytest.raises(GraphParseError):
         parse_edge_list("3 1\n1 4\n")          # vertex out of range
+    with pytest.raises(GraphParseError, match="line 2"):
+        parse_edge_list("3 1\n1 x\n")          # non-integer vertex
+    with pytest.raises(GraphParseError, match="line 1"):
+        parse_edge_list("-1 0\n")              # negative n
+    with pytest.raises(GraphParseError, match="line 1"):
+        parse_edge_list("3 -1\n")              # negative m
     with pytest.raises(GraphParseError):
         parse_graph6("\x01")
+
+
+def test_graph_rejects_a_negative_vertex_count():
+    with pytest.raises(ValueError):
+        Graph(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +90,15 @@ def test_components_against_networkx():
             ours = {frozenset(c) for c in connected_components(g, removed)}
             theirs = {frozenset(c) for c in nx.connected_components(h)}
             assert ours == theirs
+
+
+def test_block_with_whiskers_reuses_the_block_decomposition(fig):
+    blocks.cache_clear()
+    bd = blocks(fig)
+    for b in bd.blocks:
+        block_with_whiskers(fig, b, bd.cut_vertices & b)
+    # one Tarjan pass for the graph, none more per block
+    assert blocks.cache_info().misses == 1
 
 
 def test_cut_vertices_against_networkx():

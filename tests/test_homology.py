@@ -8,11 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from beilab.binomial_edge import initial_ideal
 from beilab.graphs import complete_graph, cycle_graph, path_graph
-from beilab.homology import (BudgetExceeded, FieldSpec, QQ, _lcm_lattice,
+from beilab.homology import (BudgetExceeded, FieldSpec, QQ,
+                             _depth_lower_bound, _lcm_lattice,
                              _rank, brute_depth_oracle, depth_splitting_check,
                              hochster_depth, reduced_homology_ranks,
                              reduced_ranks_from_facets, reisner_cm)
-from beilab.monomials import MonomialIdeal, SimplicialComplex, stanley_reisner
+from beilab.monomials import (MonomialIdeal, SimplicialComplex, colon,
+                              stanley_reisner)
 
 
 GF2 = FieldSpec(2)
@@ -208,3 +210,45 @@ def test_hochster_witness_certifies_pd():
         assert r.pd == bin(w).count("1") - deg - 1
         checked += 1
     assert checked >= 10
+
+
+def _reference_depth_lower_bound(ideal, topk, memo):
+    """The depth-lemma bound of homology._depth_lower_bound, with its two
+    children built by mono.colon and MonomialIdeal.make."""
+    key = ideal.gens
+    if key in memo:
+        return memo[key]
+    n, gens = ideal.nvars, ideal.gens
+    if not gens:
+        out = n
+    elif all(bin(g).count("1") == 1 for g in gens):
+        out = n - len(gens)
+    elif len(gens) == 1:
+        out = n - 1
+    else:
+        counts = {}
+        for g in gens:
+            if bin(g).count("1") > 1:
+                for b in range(n):
+                    if g >> b & 1:
+                        counts[1 << b] = counts.get(1 << b, 0) + 1
+        cand = sorted(counts, key=lambda m: (-counts[m], m))[:topk]
+        out = max(min(
+            _reference_depth_lower_bound(colon(ideal, x), topk, memo),
+            _reference_depth_lower_bound(
+                MonomialIdeal.make(n, gens + (x,)), topk, memo))
+            for x in cand)
+    memo[key] = out
+    return out
+
+
+def test_depth_lower_bound_matches_reference_recursion():
+    rng = random.Random(909)
+    for _ in range(150):
+        n = rng.randint(2, 10)
+        ideal_ = MonomialIdeal.make(n, [
+            sum(1 << b for b in rng.sample(range(n), rng.randint(1, min(n, 4))))
+            for _ in range(rng.randint(1, 8))])
+        for topk in (1, 2, 3, 4):
+            assert _depth_lower_bound(n, ideal_.gens, topk) == \
+                _reference_depth_lower_bound(ideal_, topk, {})

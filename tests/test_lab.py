@@ -157,6 +157,16 @@ def test_analyze_enumerates_cutsets_once(monkeypatch, fig):
         assert len(calls) == 1
 
 
+def test_one_cutset_lattice_per_graph():
+    g = glue_at(cycle_graph(5), 1, path_graph(3), 2)
+    lab.cs._lattice.cache_clear()
+    lab.cm_check(g)
+    lab.cs.is_unmixed(g)
+    lab.cs.is_accessible(g)
+    lab.dim_JG(g)
+    assert lab.cs._lattice.cache_info().misses == 1
+
+
 def test_analyze_builds_each_artefact_once(monkeypatch, fig):
     calls = []
 
