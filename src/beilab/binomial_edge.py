@@ -49,7 +49,7 @@ class PrimeComponentInitial:
     mask: int          # generating variables in the 2n universe
 
     def size(self):
-        return bin(self.mask).count("1")
+        return self.mask.bit_count()
 
 
 def admissible_paths(g):

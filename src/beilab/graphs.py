@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 INFINITY = float("inf")
 
@@ -31,15 +31,20 @@ class Graph:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError(f"negative vertex count n={self.n}")
-        adj = {v: set() for v in range(1, self.n + 1)}
         for (i, j) in self.edges:
             if not (1 <= i < j <= self.n):
                 raise ValueError(f"bad edge ({i},{j}) for n={self.n}")
+
+    @cached_property
+    def _adj(self):
+        # built on first use, once per instance, so a graph that is only
+        # checked against a size cap never allocates per-vertex state;
+        # adjacency(), neighbors() and degree() read it
+        adj = {v: set() for v in range(1, self.n + 1)}
+        for (i, j) in self.edges:
             adj[i].add(j)
             adj[j].add(i)
-        # built once; adjacency(), neighbors() and degree() read it
-        object.__setattr__(self, "_adj",
-                           {v: frozenset(s) for v, s in adj.items()})
+        return {v: frozenset(s) for v, s in adj.items()}
 
     @staticmethod
     def from_edges(n, edge_iter):

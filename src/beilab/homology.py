@@ -176,7 +176,7 @@ def reduced_ranks_from_facets(facets, field, max_degree=None):
     at most max_degree + 2 vertices.
     """
     facets = tuple(sorted(set(facets)))
-    top = max(bin(f).count("1") for f in facets) - 1 if facets else -2
+    top = max(f.bit_count() for f in facets) - 1 if facets else -2
     if max_degree is None or max_degree > top:
         max_degree = top
     if max_degree < -1:
@@ -190,7 +190,7 @@ def reduced_ranks_from_facets(facets, field, max_degree=None):
     ranks = {0: ncomps - 1} if ncomps > 1 and max_degree >= 0 else {}
     if max_degree > 0 and not _is_cone(facets):
         ranks.update(_matrix_ranks(facets, field.characteristic, max_degree,
-                                   bin(verts).count("1") - ncomps))
+                                   verts.bit_count() - ncomps))
     return ranks
 
 
@@ -220,7 +220,7 @@ def reduced_homology_ranks(cx, field=QQ, face_budget=DEFAULT_FACE_BUDGET):
 
 
 def _budget_check(facets, budget):
-    est = sum(1 << bin(f).count("1") for f in facets)
+    est = sum(1 << f.bit_count() for f in facets)
     if est > budget:
         raise BudgetExceeded(f"face estimate {est} exceeds budget {budget}")
 
@@ -239,10 +239,10 @@ def reisner_cm(cx, field=QQ, face_budget=DEFAULT_FACE_BUDGET):
         return CMCertificate(True, field)
     try:
         _budget_check(cx.facets, face_budget)
-        faces = sorted(cx.faces(), key=lambda f: (bin(f).count("1"), f))
+        faces = sorted(cx.faces(), key=lambda f: (f.bit_count(), f))
         for sigma in faces:
             link = cx.link(sigma).facets
-            dim_link = max(bin(f).count("1") for f in link) - 1
+            dim_link = max(f.bit_count() for f in link) - 1
             if dim_link <= 0:
                 continue  # dimension <= 0 complexes are always CM
             ranks = reduced_ranks_from_facets(link, field, dim_link - 1)
@@ -264,8 +264,8 @@ def _pd_from_subsets(ideal, subsets, field, best_seed=0):
     cx = mono.stanley_reisner(ideal)
     best = best_seed
     witness = None
-    for w in sorted(subsets, key=lambda m: -bin(m).count("1")):
-        size = bin(w).count("1")
+    for w in sorted(subsets, key=lambda m: -m.bit_count()):
+        size = w.bit_count()
         max_deg = size - best - 2
         if max_deg < -1:
             continue
@@ -310,7 +310,7 @@ def _depth_lower_bound(n, gens, topk):
         out = n
     elif gens == (0,):
         raise ValueError("unit ideal: the quotient ring is zero")
-    elif all(bin(g).count("1") == 1 for g in gens):
+    elif all(g.bit_count() == 1 for g in gens):
         out = n - len(gens)
     elif len(gens) == 1:
         out = n - 1
@@ -318,7 +318,7 @@ def _depth_lower_bound(n, gens, topk):
         # split on the most shared variables among non-variable generators
         counts = {}
         for g in gens:
-            if bin(g).count("1") == 1:
+            if g.bit_count() == 1:
                 continue
             b = g
             while b:
@@ -374,23 +374,23 @@ def hochster_depth(ideal, field=QQ, budget=DEFAULT_LATTICE_BUDGET,
                            indeterminate=True, depth_bounds=(0, n))
     cx = mono.stanley_reisner(ideal)
     # pd >= big height = max codim of an associated prime, always
-    pd_lb = n - min(bin(f).count("1") for f in cx.facets)
+    pd_lb = n - min(f.bit_count() for f in cx.facets)
     depth_lb = _depth_lower_bound(n, ideal.gens, 1)
     witness = None
     # the lattice's top element is the union of all generators
     top = 0
     for g in ideal.gens:
         top |= g
-    max_size = bin(top).count("1")
+    max_size = top.bit_count()
     by_size = []
     counter = [0]
 
     def scan_degree(i, pd_lb, witness):
         if not by_size:
             by_size.extend(sorted(lattice,
-                                  key=lambda m: (-bin(m).count("1"), m)))
+                                  key=lambda m: (-m.bit_count(), m)))
         for w in by_size:
-            size = bin(w).count("1")
+            size = w.bit_count()
             if size < pd_lb + i + 2:
                 break   # sorted descending; nothing below can improve
             if i <= 0:
@@ -401,7 +401,7 @@ def hochster_depth(ideal, field=QQ, budget=DEFAULT_LATTICE_BUDGET,
                 facets = cx.restrict(w).facets
                 if facets != (0,) and not _is_cone(facets):
                     # charge the faces a degree-i computation enumerates
-                    counter[0] += sum(_binom_sum(bin(f).count("1"), i + 2)
+                    counter[0] += sum(_binom_sum(f.bit_count(), i + 2)
                                       for f in facets)
                     if counter[0] > face_budget:
                         raise BudgetExceeded("homology face budget exceeded")

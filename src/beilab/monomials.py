@@ -40,7 +40,7 @@ def min_antichain(masks):
 def max_antichain(masks):
     """The inclusion-maximal masks of a collection, as a sorted tuple."""
     out = []
-    for m in sorted(set(masks), key=lambda m: -bin(m).count("1")):
+    for m in sorted(set(masks), key=lambda m: -m.bit_count()):
         if not any(m & k == m for k in out):
             out.append(m)
     return tuple(sorted(out))
@@ -109,31 +109,49 @@ def equal(a, b):
 def minimal_primes(ideal):
     """Inclusion-minimal transversals of the generator supports.
 
-    Returned as a sorted tuple of variable masks. The search branches on
-    each variable of the first generator the partial cover misses and
-    records every complete cover; nothing is pruned, and the covers that
-    are not minimal are dropped only at the end.
+    Returned as a sorted tuple of variable masks, each reached exactly once
+    (the MMCS search of Murakami and Uno, Discrete Appl. Math. 170, 2014).
+    The search branches on the free variables of the first generator the
+    partial cover misses; the k-th branch bans the variables of the earlier
+    branches, so no cover is reached by two paths. A branch is kept only if
+    every variable of the new cover still has a private generator, one
+    that meets the cover in that variable alone. A variable that loses its
+    last private generator never regains it as the cover grows, so every
+    cover the search completes is minimal and none is missed.
     """
     if ideal.is_unit():
         raise ValueError("unit ideal has no minimal primes")
     if ideal.is_zero():
         return ()
-    gens = sorted(ideal.gens, key=lambda m: bin(m).count("1"))
+    gens = sorted(ideal.gens, key=int.bit_count)
     results = []
 
-    def search(idx, cover):
+    def all_private(cover):
+        private = 0
+        for h in gens:
+            meet = h & cover
+            if not meet & (meet - 1):   # empty or a single variable
+                private |= meet
+        return private == cover
+
+    def search(idx, cover, banned):
         for g_i in range(idx, len(gens)):
-            if gens[g_i] & cover:
-                continue
             g = gens[g_i]
-            bits = [b for b in range(ideal.nvars) if g >> b & 1]
-            for b in bits:
-                search(g_i + 1, cover | (1 << b))
+            if g & cover:
+                continue
+            free = g & ~banned
+            while free:
+                low = free & -free
+                new = cover | low
+                if all_private(new):
+                    search(g_i + 1, new, banned)
+                banned |= low
+                free ^= low
             return
         results.append(cover)
 
-    search(0, 0)
-    return min_antichain(results)
+    search(0, 0, 0)
+    return tuple(sorted(results))
 
 
 @dataclass(frozen=True)
@@ -158,7 +176,7 @@ class SimplicialComplex:
     def dim(self):
         if self.is_void():
             return None
-        return max(bin(f).count("1") for f in self.facets) - 1
+        return max(f.bit_count() for f in self.facets) - 1
 
     def restrict(self, wmask):
         """Induced subcomplex on the vertex subset given by wmask."""

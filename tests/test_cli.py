@@ -1,5 +1,6 @@
 import io
 import json
+import resource
 import subprocess
 import sys
 
@@ -64,6 +65,37 @@ def test_analyze_max_n_indeterminate():
     lines = out.splitlines()
     assert json.loads(lines[0])["n"] == 3
     assert "max-n" in lines[1]
+
+
+def _cap_address_space():
+    # a safety net: a regression fails with MemoryError, not a full host
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    limit = 1 << 30 if hard == resource.RLIM_INFINITY else min(1 << 30, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+
+
+# Runs the CLI under a small interpreter and prints its peak RSS (KiB) on
+# stderr. A child forked straight from the test process would count the
+# test process's own pages in its peak.
+_MEASURED_CLI = """
+import resource, subprocess, sys
+proc = subprocess.run([sys.executable, "-m", "beilab.cli", *sys.argv[1:]],
+                      input=sys.stdin.buffer.read())
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, file=sys.stderr)
+sys.exit(proc.returncode)
+"""
+
+
+def test_analyze_oversize_header_allocates_no_per_vertex_state():
+    # --max-n is checked before any per-vertex structure is built, so a
+    # 300,000-vertex header costs no more memory than a small graph
+    proc = subprocess.run([sys.executable, "-c", _MEASURED_CLI, "analyze", "-"],
+                          input="300000 0\n", capture_output=True, text=True,
+                          timeout=600, preexec_fn=_cap_address_space)
+    assert proc.returncode == 2, proc.stderr
+    assert json.loads(proc.stdout) == {"budget": "max-n exceeded"}
+    peak_kib = int(proc.stderr.split()[-1])
+    assert peak_kib < 60 * 1024
 
 
 def test_analyze_over_path_cap_is_indeterminate():

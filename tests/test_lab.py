@@ -1,12 +1,16 @@
 import json
+import pathlib
 import random
 
 import pytest
 
 from beilab.graphs import (complete_graph, cycle_graph, delete_vertices,
-                           glue_at, path_graph, parse_edge_list)
+                           emit_graph6, glue_at, parse_edge_list,
+                           parse_graph6, path_graph)
 from beilab.homology import FieldSpec, QQ
 import beilab.lab as lab
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def test_cm_check_classics():
@@ -238,3 +242,15 @@ def test_indeterminate_cm_is_never_false(monkeypatch, corpus5):
             v.theorem_id
         assert v.indeterminate > 0, v.theorem_id
         assert json.loads(v.to_json())["indeterminate"] == v.indeterminate
+
+
+def test_analyze_matches_golden_reports(corpus6):
+    # analyze_upto6.jsonl is the stdout of `beilab analyze
+    # connected_upto6.g6`; every change to the engine must keep it
+    # byte-identical (CI also runs the installed command on two threads)
+    records = (DATA / "connected_upto6.g6").read_text().split()
+    golden = (DATA / "analyze_upto6.jsonl").read_text().splitlines()
+    assert records == [emit_graph6(g) for g in corpus6]
+    assert len(golden) == len(records) == 143
+    for record, line in zip(records, golden):
+        assert lab.report_json(lab.analyze(parse_graph6(record))) == line

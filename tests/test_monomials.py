@@ -2,6 +2,8 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+from beilab.binomial_edge import initial_ideal
+from beilab.corpus import all_graphs
 from beilab.monomials import (MonomialIdeal, SimplicialComplex, add_ideals,
                               colon, equal, intersect, minimal_primes,
                               minimal_primes_by_faces, stanley_reisner,
@@ -66,17 +68,21 @@ def test_sum_and_intersection_membership(ga, gb):
         assert t.contains(u) == (a.contains(u) and b.contains(u))
 
 
+def _assert_exact_primes(i):
+    primes = minimal_primes(i)
+    assert len(set(primes)) == len(primes)       # each cover recorded once
+    assert primes == minimal_primes_by_faces(i)
+
+
 def test_minimal_primes_example():
     # complete intersection-free example frozen from the face-based oracle
-    i = MonomialIdeal.make(4, [0b0011, 0b1100, 0b0101])
-    assert set(minimal_primes(i)) == set(minimal_primes_by_faces(i))
+    _assert_exact_primes(MonomialIdeal.make(4, [0b0011, 0b1100, 0b0101]))
 
 
 @settings(max_examples=80, deadline=None)
 @given(masks)
 def test_minimal_primes_match_face_oracle(gens):
-    i = MonomialIdeal.make(8, gens)
-    assert set(minimal_primes(i)) == set(minimal_primes_by_faces(i))
+    _assert_exact_primes(MonomialIdeal.make(8, gens))
 
 
 @settings(max_examples=80, deadline=None)
@@ -123,3 +129,23 @@ def test_complex_link_and_restrict():
     assert set(lk.facets) == {0b010, 0b100}
     r = cx.restrict(0b011)
     assert r.facets == (0b011,)
+
+
+def _random_ideal(rng, nvars):
+    """Up to 3 * nvars random generators of 1 to 4 variables each."""
+    sizes = range(1, min(4, nvars) + 1)
+    gens = [sum(1 << b for b in rng.sample(range(nvars), rng.choice(sizes)))
+            for _ in range(rng.randrange(1, 3 * nvars))]
+    return MonomialIdeal.make(nvars, gens)
+
+
+def test_minimal_primes_exact_on_graph_initial_ideals():
+    for k in range(1, 6):
+        for g in all_graphs(k):
+            _assert_exact_primes(initial_ideal(g))
+
+
+def test_minimal_primes_exact_on_seeded_random_ideals():
+    rng = random.Random(20140101)
+    for _ in range(150):
+        _assert_exact_primes(_random_ideal(rng, rng.randint(1, 12)))
