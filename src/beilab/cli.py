@@ -50,12 +50,12 @@ def _env_default(name, fallback):
 
 
 def _characteristic(text):
-    """--field's type: 0 for the rationals, or a prime."""
+    """--field's type: 0 for the rationals, or a prime below 2**31."""
     try:
         return FieldSpec(int(text)).characteristic
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"{text!r} is neither 0 nor a prime") from None
+            f"{text!r} is neither 0 nor a prime below 2**31") from None
 
 
 def build_parser():

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import comb, gcd
+from math import comb, gcd, isqrt
 
 from . import monomials as mono
 
@@ -29,9 +29,11 @@ class FieldSpec:
     characteristic: int = 0
 
     def __post_init__(self):
+        # below 2**31, trial division takes at most 46,340 steps
         p = self.characteristic
-        if p and (p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1))):
-            raise ValueError(f"{p} is not prime")
+        if p and not (2 <= p < 1 << 31
+                      and all(p % d for d in range(2, isqrt(p) + 1))):
+            raise ValueError(f"{p} is neither 0 nor a prime below 2**31")
 
 
 QQ = FieldSpec(0)
@@ -51,7 +53,8 @@ class DepthResult:
     pd: int
     witness: tuple | None          # (W mask, degree i) attaining pd
     indeterminate: bool = False
-    depth_bounds: tuple | None = None  # (lo, hi) when indeterminate
+    # when indeterminate: the squeeze's certified (depth_lb, n - pd_lb)
+    depth_bounds: tuple | None = None
 
 
 class BudgetExceeded(Exception):
@@ -256,29 +259,6 @@ def reisner_cm(cx, field=QQ, face_budget=DEFAULT_FACE_BUDGET):
 # ---------------------------------------------------------------------------
 # depth via Hochster's formula
 
-def _pd_from_subsets(ideal, subsets, field, best_seed=0):
-    """max over W of |W| - i - 1 with nonzero H_i of the induced subcomplex.
-
-    Scans by decreasing |W|; for each W only degrees i <= |W| - best - 2
-    can improve the maximum, so homology is computed truncated to those."""
-    cx = mono.stanley_reisner(ideal)
-    best = best_seed
-    witness = None
-    for w in sorted(subsets, key=lambda m: -m.bit_count()):
-        size = w.bit_count()
-        max_deg = size - best - 2
-        if max_deg < -1:
-            continue
-        induced = cx.restrict(w).facets
-        ranks = reduced_ranks_from_facets(induced, field, max_deg)
-        for i in sorted(ranks):
-            if ranks[i] and size - i - 1 > best:
-                best = size - i - 1
-                witness = (w, i)
-                break    # the smallest degree already maximizes |W|-i-1
-    return best, witness
-
-
 def _lcm_lattice(ideal, budget):
     """Union-closure of the generator supports, plus the empty degree.
 
@@ -352,94 +332,85 @@ def hochster_depth(ideal, field=QQ, budget=DEFAULT_LATTICE_BUDGET,
     Squeeze strategy: depth <= n - pd where pd is pushed up by Hochster
     witnesses (nonzero reduced homology of induced subcomplexes, scanned
     over the lcm lattice by ascending homological degree, so cheap degrees
-    come first), and depth >= the depth-lemma recursion bound. The scan
-    stops the moment the two bounds meet; if they never do, the completed
-    lattice scan is itself exact. On budget overflow the certified interval
-    is reported as indeterminate instead of a guess.
-
-    The lattice is built up front, so its budget applies even when the
-    bounds meet before any scan, but it is sorted only when the first
-    scan runs, by the total key (-|W|, W): the witness is the first
-    (W, i) in that order and does not depend on set iteration order.
+    come first), and depth >= the depth-lemma recursion bound, sharpened
+    once before the first matrix degree. The scan stops the moment the two
+    bounds meet; if they never do, the completed lattice scan is itself
+    exact. The lattice is built, and charged to its budget, only when a
+    scan runs; it is sorted by the total key (-|W|, W), so the witness is
+    the first (W, i) in that order. When either budget runs out the
+    answer is still exact if the bounds have met, and otherwise the
+    certified interval is reported as indeterminate instead of a guess.
     """
     if ideal.is_unit():
         raise ValueError("unit ideal: the quotient ring is zero")
     n = ideal.nvars
     if ideal.is_zero():
         return DepthResult(depth=n, pd=0, witness=None)
-    try:
-        lattice = _lcm_lattice(ideal, budget)
-    except BudgetExceeded:
-        return DepthResult(depth=None, pd=None, witness=None,
-                           indeterminate=True, depth_bounds=(0, n))
     cx = mono.stanley_reisner(ideal)
     # pd >= big height = max codim of an associated prime, always
     pd_lb = n - min(f.bit_count() for f in cx.facets)
-    depth_lb = _depth_lower_bound(n, ideal.gens, 1)
+    topk = 1
+    depth_lb = _depth_lower_bound(n, ideal.gens, topk)
     witness = None
     # the lattice's top element is the union of all generators
     top = 0
     for g in ideal.gens:
         top |= g
     max_size = top.bit_count()
-    by_size = []
-    counter = [0]
-
-    def scan_degree(i, pd_lb, witness):
-        if not by_size:
-            by_size.extend(sorted(lattice,
-                                  key=lambda m: (-m.bit_count(), m)))
-        for w in by_size:
-            size = w.bit_count()
-            if size < pd_lb + i + 2:
-                break   # sorted descending; nothing below can improve
-            if i <= 0:
-                # H~_-1 and H~_0 see only vertices and edges, so the
-                # restricted faces need no antichain pass
-                facets = tuple({f & w for f in cx.facets})
-            else:
-                facets = cx.restrict(w).facets
-                if facets != (0,) and not _is_cone(facets):
-                    # charge the faces a degree-i computation enumerates
-                    counter[0] += sum(_binom_sum(f.bit_count(), i + 2)
-                                      for f in facets)
-                    if counter[0] > face_budget:
-                        raise BudgetExceeded("homology face budget exceeded")
-            if reduced_ranks_from_facets(facets, field, i).get(i, 0):
-                if size - i - 1 > pd_lb:
-                    pd_lb = size - i - 1
-                    witness = (w, i)
-        return pd_lb, witness
-
+    lattice = None
+    spent = 0       # faces charged to face_budget
+    i = -1          # combinatorial degrees first: they carry most witnesses
     try:
-        # combinatorial degrees first: they carry most witnesses
-        for i in (-1, 0):
-            if n - pd_lb <= depth_lb:
-                break
-            pd_lb, witness = scan_degree(i, pd_lb, witness)
-        # sharpen the lower bound before resorting to matrix homology
-        for topk in (2, 3, 4):
-            if n - pd_lb <= depth_lb:
-                break
-            depth_lb = max(depth_lb, _depth_lower_bound(n, ideal.gens, topk))
-        i = 1
-        while pd_lb + i + 2 <= max_size:
-            if n - pd_lb <= depth_lb:
-                break   # bounds met: depth is exact
-            pd_lb, witness = scan_degree(i, pd_lb, witness)
+        while pd_lb + i + 2 <= max_size and n - pd_lb > depth_lb:
+            if i == 1 and topk < 4:
+                # sharpen the lower bound before resorting to matrix homology
+                topk += 1
+                depth_lb = max(depth_lb,
+                               _depth_lower_bound(n, ideal.gens, topk))
+                continue
+            if lattice is None:
+                # by (-|W|, W): the sort by size keeps ties in mask order
+                lattice = sorted(sorted(_lcm_lattice(ideal, budget)),
+                                 key=int.bit_count, reverse=True)
+            for w in lattice:
+                size = w.bit_count()
+                if size < pd_lb + i + 2:
+                    break   # sorted descending; nothing below can improve
+                if i <= 0:
+                    # H~_-1 and H~_0 see only vertices and edges, so the
+                    # restricted faces need no antichain pass
+                    facets = tuple({f & w for f in cx.facets})
+                else:
+                    facets = cx.restrict(w).facets
+                    if facets != (0,) and not _is_cone(facets):
+                        # charge the faces a degree-i computation enumerates
+                        spent += sum(_binom_sum(f.bit_count(), i + 2)
+                                     for f in facets)
+                        if spent > face_budget:
+                            raise BudgetExceeded(
+                                "homology face budget exceeded")
+                if reduced_ranks_from_facets(facets, field, i).get(i, 0):
+                    if size - i - 1 > pd_lb:
+                        pd_lb = size - i - 1
+                        witness = (w, i)
             i += 1
     except BudgetExceeded:
-        if n - pd_lb <= depth_lb:
-            return DepthResult(depth=depth_lb, pd=n - depth_lb,
-                               witness=witness)
-        return DepthResult(depth=None, pd=None, witness=witness,
-                           indeterminate=True,
-                           depth_bounds=(depth_lb, n - pd_lb))
+        if n - pd_lb > depth_lb:
+            return DepthResult(depth=None, pd=None, witness=witness,
+                               indeterminate=True,
+                               depth_bounds=(depth_lb, n - pd_lb))
+    # the bounds have met, or the scan is complete
     return DepthResult(depth=n - pd_lb, pd=pd_lb, witness=witness)
 
 
 def brute_depth_oracle(ideal, field=QQ):
-    """Same contract as hochster_depth, scanning every vertex subset."""
+    """Same contract as hochster_depth, scanning every vertex subset.
+
+    pd is the max over W of |W| - i - 1 with nonzero H~_i of the induced
+    subcomplex. Subsets are scanned by decreasing |W|; for each W only
+    degrees i <= |W| - pd - 2 can improve the maximum, so homology is
+    computed truncated to those.
+    """
     if ideal.nvars > BRUTE_DEPTH_CAP:
         raise ValueError(f"brute-force depth capped at {BRUTE_DEPTH_CAP} variables")
     if ideal.is_unit():
@@ -447,7 +418,22 @@ def brute_depth_oracle(ideal, field=QQ):
     n = ideal.nvars
     if ideal.is_zero():
         return DepthResult(depth=n, pd=0, witness=None)
-    pd, witness = _pd_from_subsets(ideal, range(1 << n), field)
+    cx = mono.stanley_reisner(ideal)
+    pd = 0
+    witness = None
+    for w in sorted(range(1 << n), key=int.bit_count, reverse=True):
+        size = w.bit_count()
+        max_deg = size - pd - 2
+        if max_deg < -1:
+            break   # sizes only fall and pd only grows from here
+        ranks = reduced_ranks_from_facets(cx.restrict(w).facets, field,
+                                          max_deg)
+        if ranks:
+            # the smallest degree already maximizes |W| - i - 1
+            i = min(ranks)
+            if size - i - 1 > pd:
+                pd = size - i - 1
+                witness = (w, i)
     return DepthResult(depth=n - pd, pd=pd, witness=witness)
 
 

@@ -132,9 +132,16 @@ def test_verify_counts_capped_graphs_as_indeterminate(n):
 
 
 def test_verify_honours_budgets():
-    # P4 is CM; with both budgets at 1 no depth can be decided
-    code, out, err = run_cli(["verify", "saturation", "-", "--lattice-budget",
-                              "1", "--face-budget", "1"], stdin="Ch\n")
+    # with both budgets at 1: P4 is CM and its depth bounds meet before
+    # any scan, so it is decided; ELQ? is accessible and its squeeze must
+    # scan the lcm lattice, so its depth, and with it CM, is indeterminate
+    budgets = ["--lattice-budget", "1", "--face-budget", "1"]
+    code, out, err = run_cli(["verify", "saturation", "-", *budgets],
+                             stdin="Ch\n")
+    assert code == 0, err
+    assert json.loads(out)["indeterminate"] == 0
+    code, out, err = run_cli(["verify", "saturation", "-", *budgets],
+                             stdin="ELQ?\n")
     assert code == 2, err
     assert json.loads(out)["indeterminate"] >= 1
 
@@ -215,6 +222,7 @@ def test_flag_overrides_env(monkeypatch):
     ([], {"BEI_FIELD": "x"}),
     ([], {"BEI_FACE_BUDGET": "abc"}),
     (["--face-budget", "abc"], {}),
+    (["--field", "1000000000000000003"], {}),
 ])
 def test_bad_flag_or_env_value_is_a_parse_error(monkeypatch, flags, env):
     for name, value in env.items():

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from beilab.binomial_edge import initial_ideal
-from beilab.graphs import complete_graph, cycle_graph, path_graph
+from beilab.graphs import (complete_graph, cycle_graph, parse_graph6,
+                           path_graph)
 from beilab.homology import (BudgetExceeded, FieldSpec, QQ,
                              _depth_lower_bound, _lcm_lattice,
                              _rank, brute_depth_oracle, depth_splitting_check,
@@ -169,9 +170,16 @@ def test_depth_splitting_consistency():
 
 
 def test_budget_indeterminate():
+    # C5's bounds meet before any scan, so a lattice budget of 2 never trips
     i = initial_ideal(cycle_graph(5))
-    r = hochster_depth(i, budget=2)
+    r, brute = hochster_depth(i, budget=2), brute_depth_oracle(i)
+    assert not r.indeterminate and (r.depth, r.pd) == (brute.depth, brute.pd)
+    # the star K_{1,4} must scan, and its lattice exceeds the budget
+    star = initial_ideal(parse_graph6("Ds_"))
+    r, brute = hochster_depth(star, budget=2), brute_depth_oracle(star)
     assert r.indeterminate and r.depth is None
+    lo, hi = r.depth_bounds
+    assert lo <= brute.depth <= hi
     c = reisner_cm(stanley_reisner(i), face_budget=2)
     assert c.indeterminate and c.is_cm is None
 
@@ -187,6 +195,35 @@ def test_lcm_lattice_is_union_closure_with_exact_budget():
         assert _lcm_lattice(i, len(brute)) == brute
         with pytest.raises(BudgetExceeded):
             _lcm_lattice(i, len(brute) - 1)
+
+
+def test_budgets_yield_exact_depth_or_certified_interval():
+    # every lattice budget 1, 2, 4, ..., |L| under a tiny and a large face
+    # budget: a tripped budget leaves the squeeze's own certified interval
+    rng = random.Random(4242)
+    for _ in range(150):
+        nv = rng.randint(2, 10)
+        if rng.random() < 0.6:
+            gens = [sum(1 << b for b in rng.sample(range(nv), 2))
+                    for _ in range(rng.randint(1, 12))]
+        else:
+            gens = [rng.randrange(1, 1 << nv)
+                    for _ in range(rng.randint(1, 8))]
+        i = MonomialIdeal.make(nv, gens)
+        if i.is_unit():
+            continue
+        brute = brute_depth_oracle(i)
+        size = len(_lcm_lattice(i, 1 << nv))
+        budgets = [1 << k for k in range(size.bit_length()) if 1 << k < size]
+        for budget in budgets + [size]:
+            for face_budget in (1, 10 ** 6):
+                r = hochster_depth(i, budget=budget, face_budget=face_budget)
+                if r.indeterminate:
+                    lo, hi = r.depth_bounds
+                    assert lo <= brute.depth <= hi
+                    assert lo >= _depth_lower_bound(nv, i.gens, 1)
+                else:
+                    assert (r.depth, r.pd) == (brute.depth, brute.pd)
 
 
 def test_hochster_witness_certifies_pd():

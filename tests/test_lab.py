@@ -254,3 +254,16 @@ def test_analyze_matches_golden_reports(corpus6):
     assert len(golden) == len(records) == 143
     for record, line in zip(records, golden):
         assert lab.report_json(lab.analyze(parse_graph6(record))) == line
+
+
+def test_verify_matches_golden_verdicts(corpus6):
+    # verify_upto6.jsonl is the stdout of `beilab verify <theorem>
+    # tests/data/connected_upto6.g6` for each theorem in sorted order, run
+    # from the repository root; every verdict there is clean (exit 0), and
+    # CI also runs the installed command on each theorem
+    golden = (DATA / "verify_upto6.jsonl").read_text().splitlines()
+    assert len(golden) == len(lab.VERIFIERS) == 7
+    for theorem, line in zip(sorted(lab.VERIFIERS), golden):
+        verdict = lab.VERIFIERS[theorem](
+            corpus6, QQ, corpus_name="tests/data/connected_upto6.g6")
+        assert verdict.to_json() == line
