@@ -3,9 +3,8 @@ graphs: cutset-based unmixedness and accessibility, the admissible-path
 initial ideal, and Cohen-Macaulayness via simplicial homology of the
 Stanley-Reisner complex."""
 
-from .graphs import (Graph, GraphParseError, INFINITY, NOT_A_CUT_VERTEX,
-                     add_whisker, blocks, block_with_whiskers,
-                     complete_graph, connected_components, cut_vertices,
+from .graphs import (Graph, GraphParseError, INFINITY, add_whisker, blocks,
+                     block_with_whiskers, complete_graph, connected_components, cut_vertices,
                      cycle_graph, decompose_at, delete_vertices,
                      emit_graph6, girth, glue_at, induced_cycle_lengths,
                      is_connected, is_free_vertex, parse_edge_list,

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 from . import monomials as mono
 from .cutsets import Cutset, enumerate_cutsets, is_cutset
-from .graphs import (Graph, connected_components, decompose_at, relabel,
-                     saturate)
+from .graphs import (Graph, _relabel_around, connected_components,
+                     decompose_at, saturate)
 
 DEFAULT_PATH_CAP = 14
 
@@ -178,20 +178,10 @@ def verify_decomposition(g):
     return mono.equal(ini, acc)
 
 
-def _relabel_last(g, v):
-    """Order-preserving-ish relabeling with v -> n and N(v) -> n-1..n-r."""
-    nb = sorted(g.neighbors(v))
-    rest = sorted(u for u in g.vertices() if u != v and u not in nb)
-    order = rest + nb + [v]
-    mapping = [0] * g.n
-    for new, old in enumerate(order, start=1):
-        mapping[old - 1] = new
-    return relabel(g, mapping)
-
-
 def colon_saturation_identity(g, v):
-    """(in(J_G) : x_n) = in(J_{G_n}) after relabeling v to n."""
-    gp = _relabel_last(g, v)
+    """(in(J_G) : x_n) = in(J_{G_n}) after relabeling v to n and its
+    neighbors to n-1..n-r."""
+    gp = _relabel_around(g, v, g.vertices())
     n = gp.n
     lhs = mono.colon(initial_ideal(gp), 1 << mono.xvar(n, n))
     rhs = initial_ideal(saturate(gp, n))
@@ -222,8 +212,6 @@ def setup_identities(g, v):
     variables.
     """
     dec = decompose_at(g, v)
-    if isinstance(dec, str):
-        raise ValueError(f"{v} is not a cut vertex")
     gp, m, n = dec.graph, dec.m, g.n
     nvars = 2 * n
     xm = 1 << mono.xvar(m, n)

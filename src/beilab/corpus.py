@@ -8,10 +8,9 @@ representative is expanded once.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 from .graphs import Graph, is_connected, parse_graph6
-
-_CACHE = {}
 
 
 def _edge_index(n):
@@ -19,12 +18,12 @@ def _edge_index(n):
     return pairs, {p: k for k, p in enumerate(pairs)}
 
 
+@lru_cache(maxsize=8)
 def all_graphs(n):
-    """One representative per isomorphism class of graphs on n vertices."""
-    if n in _CACHE:
-        return _CACHE[n]
+    """One representative per isomorphism class of graphs on n vertices,
+    as a tuple (memoized, so it must not be mutable)."""
     if n == 0:
-        return []
+        return ()
     pairs, index = _edge_index(n)
     nbits = len(pairs)
     perm_tables = []
@@ -45,12 +44,10 @@ def all_graphs(n):
                 img |= 1 << table[low.bit_length() - 1]
                 m &= m - 1
             seen[img] = 1
-    graphs = []
-    for mask in reps:
-        edges = [(a + 1, b + 1) for k, (a, b) in enumerate(pairs) if mask >> k & 1]
-        graphs.append(Graph.from_edges(n, edges))
-    _CACHE[n] = graphs
-    return graphs
+    return tuple(
+        Graph.from_edges(n, [(a + 1, b + 1) for k, (a, b) in enumerate(pairs)
+                             if mask >> k & 1])
+        for mask in reps)
 
 
 def connected_graphs(n):

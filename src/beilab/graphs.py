@@ -84,22 +84,14 @@ class Decomposition:
 
     ``graph`` is the relabeled graph: side one occupies 1..m with the cut
     vertex at m and its side-one neighbors at m-1..m-r; side two occupies
-    m..n with the side-two neighbors of m at m+1..m+s.
+    m..n with the side-two neighbors of m at m+1..m+s. ``sides`` is
+    ((side one, m), (side two, 1)): each side as a graph of its own,
+    relabeled order-preservingly, with the cut vertex's label on it.
     """
 
     graph: "Graph"
     m: int
-
-    def g1(self):
-        g, _ = delete_vertices(self.graph, set(range(self.m + 1, self.graph.n + 1)))
-        return g
-
-    def g2(self):
-        g, _ = delete_vertices(self.graph, set(range(1, self.m)))
-        return g
-
-
-NOT_A_CUT_VERTEX = "NOT_A_CUT_VERTEX"
+    sides: tuple
 
 
 # ---------------------------------------------------------------------------
@@ -417,31 +409,43 @@ def relabel(g, perm):
                                   for i, j in g.edges])
 
 
+def _relabel_around(g, v, side1):
+    """g relabeled so that the vertex set side1, which holds v, comes first
+    with v last in it and v's neighbors just below v; the other vertices
+    follow with v's neighbors first. Each group keeps its order."""
+    nb = g.neighbors(v)
+
+    def group(inside, near):
+        return [u for u in g.vertices()
+                if u != v and (u in side1) == inside and (u in nb) == near]
+
+    order = (group(True, False) + group(True, True) + [v]
+             + group(False, True) + group(False, False))
+    mapping = [0] * g.n
+    for new, old in enumerate(order, start=1):
+        mapping[old - 1] = new
+    return relabel(g, mapping)
+
+
 def decompose_at(g, v):
     """Split a connected graph at the cut vertex v into two sides.
 
     The lowest-labeled component of g - v (plus v) forms side one; the rest
     plus v forms side two. Returns a Decomposition whose relabeled graph
-    satisfies the interval conditions on the neighbors of the cut vertex,
-    or NOT_A_CUT_VERTEX.
+    satisfies the interval conditions on the neighbors of the cut vertex.
+    Raises ValueError for a disconnected graph or when v is not a cut
+    vertex.
     """
     if not is_connected(g):
         raise ValueError("decompose_at requires a connected graph")
     comps = connected_components(g, frozenset([v]))
     if len(comps) < 2:
-        return NOT_A_CUT_VERTEX
-    side1 = set(comps[0]) | {v}
-    nb = g.neighbors(v)
-    n1 = sorted(u for u in side1 if u != v and u in nb)
-    rest1 = sorted(u for u in side1 if u != v and u not in nb)
-    side2 = set(g.vertices()) - side1
-    n2 = sorted(u for u in side2 if u in nb)
-    rest2 = sorted(u for u in side2 if u not in nb)
-    order = rest1 + n1 + [v] + n2 + rest2
-    mapping = [0] * g.n
-    for new, old in enumerate(order, start=1):
-        mapping[old - 1] = new
-    return Decomposition(graph=relabel(g, mapping), m=len(side1))
+        raise ValueError(f"{v} is not a cut vertex")
+    m = len(comps[0]) + 1
+    gp = _relabel_around(g, v, comps[0] | {v})
+    return Decomposition(gp, m, (
+        (delete_vertices(gp, range(m + 1, g.n + 1))[0], m),
+        (delete_vertices(gp, range(1, m))[0], 1)))
 
 
 def glue_at(g, v, h, w):

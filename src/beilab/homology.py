@@ -20,7 +20,7 @@ from . import monomials as mono
 DEFAULT_FACE_BUDGET = 5_000_000
 DEFAULT_LATTICE_BUDGET = 1_000_000
 BRUTE_DEPTH_CAP = 12    # variables; brute_depth_oracle scans 2^n subsets
-# entries kept by each memo: the boundary-rank cache, the depth-lemma memo
+# entries kept by the depth-lemma memo
 _CACHE_SIZE = 1 << 16
 
 
@@ -191,20 +191,13 @@ def reduced_ranks_from_facets(facets, field, max_degree=None):
         return {-1: 1}
     ncomps = _components(facets)
     ranks = {0: ncomps - 1} if ncomps > 1 and max_degree >= 0 else {}
-    if max_degree > 0 and not _is_cone(facets):
-        ranks.update(_matrix_ranks(facets, field.characteristic, max_degree,
-                                   verts.bit_count() - ncomps))
-    return ranks
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _matrix_ranks(facets, p, max_degree, rank_d1):
-    """Ranks of H~_1..H~_max_degree, given the rank of d_1."""
+    if max_degree <= 0 or _is_cone(facets):
+        return ranks
     by_dim = _faces_by_dim(facets, max_degree + 2)
-    ranks = {}
-    r = rank_d1     # rank of d_k, for k = 1, 2, ...
+    r = verts.bit_count() - ncomps     # rank of d_k, for k = 1, 2, ...
     for k in range(1, max_degree + 1):
-        r_up = _boundary_rank(by_dim.get(k + 1), by_dim[k], p)
+        r_up = _boundary_rank(by_dim.get(k + 1), by_dim[k],
+                              field.characteristic)
         h = len(by_dim[k]) - r - r_up
         if h:
             ranks[k] = h

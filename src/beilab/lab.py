@@ -265,19 +265,16 @@ def verify_deletion_lemmas(corpus, field=QQ, corpus_name="", *,
         g_cm = cm(g) if g_unmixed else False
         for v, dec in splits:
             count += 1
-            m = dec.m
-            g1, g2 = dec.g1(), dec.g2()
-            free1 = is_free_vertex(g1, m)
-            free2 = is_free_vertex(g2, 1)
+            nonfree = not any(is_free_vertex(*side) for side in dec.sides)
             del_v, _ = delete_vertices(g, [v])
-            if g_unmixed and not free1 and not free2:
+            if g_unmixed and nonfree:
                 if not cs.is_unmixed(del_v).unmixed:
                     violations.append((g6, f"lem-deletion-unmixed v={v}"))
             if g_cm:
                 del_cm = cm(del_v)
                 gv = saturate(g, v)
                 gv_del_cm = cm(delete_vertices(gv, [v])[0])
-                if not free1 and not free2:
+                if nonfree:
                     if del_cm is False:
                         violations.append((g6, f"lem-deletion-cm v={v}"))
                     if cm(gv) is False:
@@ -285,10 +282,10 @@ def verify_deletion_lemmas(corpus, field=QQ, corpus_name="", *,
                     if gv_del_cm is False:
                         violations.append((g6, f"cor-sat-deletion-cm v={v}"))
                 # CM of both sides' saturations, unconditionally under CM(G)
-                if cm(saturate(g1, m)) is False:
-                    violations.append((g6, f"prop-side-saturation g1 v={v}"))
-                if cm(saturate(g2, 1)) is False:
-                    violations.append((g6, f"prop-side-saturation g2 v={v}"))
+                for k, side in enumerate(dec.sides, start=1):
+                    if cm(saturate(*side)) is False:
+                        violations.append(
+                            (g6, f"prop-side-saturation g{k} v={v}"))
                 if del_cm and gv_del_cm is False:
                     violations.append((g6, f"prop-sat-del-cm v={v}"))
         # non-cut-vertex unmixedness transfer
@@ -307,18 +304,14 @@ def verify_deletion_lemmas(corpus, field=QQ, corpus_name="", *,
 
 def whiskered_sides(g, v):
     """(side1 + whisker at v, side2 + whisker at v) for the split at v."""
-    dec = decompose_at(g, v)
-    if isinstance(dec, str):
-        raise ValueError(f"{v} is not a cut vertex")
-    return _whiskered(dec)
+    return _whiskered(decompose_at(g, v))
 
 
 def _whiskered(dec):
-    return add_whisker(dec.g1(), dec.m), add_whisker(dec.g2(), 1)
+    return tuple(add_whisker(*side) for side in dec.sides)
 
 
-def verify_gluing_theorems(corpus, field=QQ, corpus_name="",
-                           check_converse=True, *,
+def verify_gluing_theorems(corpus, field=QQ, corpus_name="", *,
                            face_budget=DEFAULT_FACE_BUDGET,
                            lattice_budget=DEFAULT_LATTICE_BUDGET):
     """Whisker gluing: forward direction plus the conditional converse.
@@ -349,7 +342,7 @@ def verify_gluing_theorems(corpus, field=QQ, corpus_name="",
             sides_cm = cm(w1) and cm(w2)    # None when not known
             if g_cm and sides_cm is False:
                 violations.append((g6, f"forward-whisker v={v}"))
-            if check_converse and sides_cm and cs.is_unmixed(g).unmixed:
+            if sides_cm and cs.is_unmixed(g).unmixed:
                 if g_cm is False:
                     hypo.append((g6, f"converse-whisker v={v}"))
         if g_cm:
@@ -406,15 +399,10 @@ def verify_girth_theorem(corpus, field=QQ, corpus_name="", *,
 def glue_pairs_cm(g, v, h, w, field=QQ):
     """The four cross-gluings of the sides of (g, v) and (h, w); returns
     list of (label, graph, cm), with cm None when indeterminate."""
-    dg = decompose_at(g, v)
-    dh = decompose_at(h, w)
-    if isinstance(dg, str) or isinstance(dh, str):
-        raise ValueError("both vertices must be cut vertices")
-    gsides = [(1, dg.g1(), dg.m), (2, dg.g2(), 1)]
-    hsides = [(1, dh.g1(), dh.m), (2, dh.g2(), 1)]
+    gsides, hsides = decompose_at(g, v).sides, decompose_at(h, w).sides
     out = []
-    for i, gi, gv in gsides:
-        for j, hj, hv in hsides:
+    for i, (gi, gv) in enumerate(gsides, start=1):
+        for j, (hj, hv) in enumerate(hsides, start=1):
             f = glue_at(gi, gv, hj, hv)
             out.append((f"F{i}{j}", f, cm_check(f, field).is_cm))
     return out
@@ -526,15 +514,12 @@ def depth_question_filter(g, v):
     v there forces v free on side two; (ii) is the mirror. No verdict about
     the depth equality is asserted here; this only selects candidates.
     """
-    dec = decompose_at(g, v)
-    if isinstance(dec, str):
-        raise ValueError(f"{v} is not a cut vertex")
-    g1, g2 = dec.g1(), dec.g2()
+    (g1, v1), (g2, v2) = decompose_at(g, v).sides
     return DepthQuestionFilter(
-        side1_has_cutset=neighborhood_cutset_exists(g1, dec.m),
-        side2_has_cutset=neighborhood_cutset_exists(g2, 1),
-        v_free_in_side1=is_free_vertex(g1, dec.m),
-        v_free_in_side2=is_free_vertex(g2, 1),
+        side1_has_cutset=neighborhood_cutset_exists(g1, v1),
+        side2_has_cutset=neighborhood_cutset_exists(g2, v2),
+        v_free_in_side1=is_free_vertex(g1, v1),
+        v_free_in_side2=is_free_vertex(g2, v2),
     )
 
 

@@ -19,8 +19,7 @@ from beilab.binomial_edge import (colon_saturation_identity,
 from beilab.corpus import connected_graphs, random_connected_graph
 from beilab.cutsets import is_unmixed
 from beilab.graphs import (complete_graph, cut_vertices, cycle_graph,
-                           decompose_at, emit_graph6, glue_at, path_graph,
-                           NOT_A_CUT_VERTEX)
+                           emit_graph6, glue_at, path_graph)
 from beilab.homology import QQ, brute_depth_oracle, hochster_depth, reisner_cm
 from beilab.monomials import stanley_reisner
 import beilab.lab as lab
@@ -99,8 +98,7 @@ def test_criterion_05_girth_theorem_n7_stretch():
 def test_criterion_06_forward_gluing_and_blocks(corpus6):
     """CM graphs: all whiskered sides at cut vertices and every
     block-with-whiskers are CM; n <= 6."""
-    v = lab.verify_gluing_theorems(corpus6, corpus_name="n<=6",
-                                   check_converse=False)
+    v = lab.verify_gluing_theorems(corpus6, corpus_name="n<=6")
     assert v.clean(), f"criterion 6 FAIL: {v.violations}"
 
 
@@ -128,8 +126,6 @@ def test_criterion_07_splitting_identity_suite(fig):
         if not cvs:
             continue
         v = rng.choice(cvs)
-        if decompose_at(g, v) is NOT_A_CUT_VERTEX:
-            continue
         made += 1
         rep = setup_identities(g, v)
         if not rep.all_hold():

@@ -24,6 +24,19 @@ def test_connected_counts():
         assert all(is_connected(g) for g in connected_graphs(n))
 
 
+def test_all_graphs_is_not_changed_by_a_caller():
+    # the memo is bounded and hands out tuples, so a caller cannot add a
+    # graph that later calls would return
+    gs = all_graphs(3)
+    try:
+        gs.append(gs[0])
+    except AttributeError:
+        pass
+    assert len(all_graphs(3)) == GRAPH_COUNTS[3]
+    assert len(connected_graphs(3)) == CONNECTED_COUNTS[3]
+    assert all_graphs.cache_info().maxsize is not None
+
+
 def test_upto_is_union():
     got = list(connected_graphs_upto(5))
     assert len(got) == sum(CONNECTED_COUNTS[k] for k in range(1, 6))

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from beilab.graphs import (Graph, GraphParseError, INFINITY,
-                           NOT_A_CUT_VERTEX, add_whisker, blocks,
+                           add_whisker, blocks,
                            block_with_whiskers, complete_graph,
                            connected_components, cut_vertices, cycle_graph,
                            decompose_at, delete_vertices, emit_graph6,
@@ -224,11 +224,9 @@ def test_decompose_glue_roundtrip():
         g = random_connected_graph(rng, 8)
         for v in sorted(cut_vertices(g)):
             dec = decompose_at(g, v)
-            if dec is NOT_A_CUT_VERTEX:
-                continue
-            g1, g2 = dec.g1(), dec.g2()
+            (g1, v1), (g2, v2) = dec.sides
             # glue back: largest label of side 1 = smallest of side 2 = v
-            glued = glue_at(g1, dec.m, g2, 1)
+            glued = glue_at(g1, v1, g2, v2)
             assert glued == dec.graph
             assert is_connected(g1) and is_connected(g2)
             checked += 1
@@ -239,10 +237,11 @@ def test_decompose_labels_sides():
     # after relabeling, side 1 is 1..m with v=m, side 2 is m..n with v=m
     g = parse_edge_list("5 4\n1 3\n2 3\n3 4\n3 5\n")
     dec = decompose_at(g, 3)
-    assert dec is not NOT_A_CUT_VERTEX
-    g1, g2 = dec.g1(), dec.g2()
+    (g1, v1), (g2, v2) = dec.sides
+    assert (v1, v2) == (dec.m, 1)
     assert all(u <= dec.m for e in g1.edges for u in e)
-    assert decompose_at(g, 1) is NOT_A_CUT_VERTEX
+    with pytest.raises(ValueError):
+        decompose_at(g, 1)
 
 
 def test_block_with_whiskers(fig):

@@ -4,9 +4,10 @@ import random
 
 import pytest
 
-from beilab.graphs import (complete_graph, cycle_graph, delete_vertices,
-                           emit_graph6, glue_at, parse_edge_list,
-                           parse_graph6, path_graph)
+from beilab.binomial_edge import initial_ideal, setup_identities
+from beilab.graphs import (complete_graph, cycle_graph, decompose_at,
+                           delete_vertices, emit_graph6, glue_at,
+                           parse_edge_list, parse_graph6, path_graph)
 from beilab.homology import FieldSpec, QQ
 import beilab.lab as lab
 
@@ -82,6 +83,20 @@ def test_glue_pairs_cm():
     out = lab.glue_pairs_cm(g, 3, g, 3)
     assert len(out) == 4
     assert all(is_cm for _, _, is_cm in out)
+
+
+@pytest.mark.parametrize("split_at_1", [
+    pytest.param(lambda g: decompose_at(g, 1), id="decompose_at"),
+    pytest.param(lambda g: lab.whiskered_sides(g, 1), id="whiskered_sides"),
+    pytest.param(lambda g: lab.glue_pairs_cm(g, 1, g, 1), id="glue_pairs_cm"),
+    pytest.param(lambda g: lab.depth_question_filter(g, 1),
+                 id="depth_question_filter"),
+    pytest.param(lambda g: setup_identities(g, 1), id="setup_identities"),
+])
+def test_split_at_a_non_cut_vertex_is_one_error(split_at_1):
+    # every caller of the split reports an end vertex of a path alike
+    with pytest.raises(ValueError, match="^1 is not a cut vertex$"):
+        split_at_1(path_graph(4))
 
 
 def test_verify_identification():
@@ -254,6 +269,18 @@ def test_analyze_matches_golden_reports(corpus6):
     assert len(golden) == len(records) == 143
     for record, line in zip(records, golden):
         assert lab.report_json(lab.analyze(parse_graph6(record))) == line
+
+
+def test_initial_ideal_matches_golden_generators(corpus6):
+    # initial_ideal_upto6.txt is the stdout of `beilab initial-ideal
+    # tests/data/connected_upto6.g6`: one generator a line, a blank line
+    # between graphs; every change to the engine must keep it
+    # byte-identical (CI also runs the installed command)
+    records = (DATA / "connected_upto6.g6").read_text().split()
+    golden = (DATA / "initial_ideal_upto6.txt").read_text()
+    assert records == [emit_graph6(g) for g in corpus6]
+    texts = [initial_ideal(g).to_text() for g in corpus6]
+    assert "\n".join(t + "\n" if t else "" for t in texts) == golden
 
 
 def test_verify_matches_golden_verdicts(corpus6):
