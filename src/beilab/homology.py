@@ -275,9 +275,14 @@ def _depth_lower_bound(n, gens, topk):
 
     topk is the number of candidate splitting variables tried per node
     (the bound is the max over candidates); larger topk is sharper but
-    costlier. Never exceeds the true depth, over any field. The cache
-    keys on (n, gens, topk), not on ideal objects, so it keeps no ideal
-    alive.
+    costlier, and never lower. Never exceeds the true depth, over any
+    field. Two prunes leave every value unchanged: the I + x child is
+    evaluated first, and the I : x child is skipped when I + x alone is
+    no more than the running max, since the min cannot then raise it; and
+    candidates stop once the max reaches the ceiling n - nu, where nu
+    counts generators picked greedily to be pairwise disjoint, because
+    depth <= dim = n - height <= n - nu. The cache keys on (n, gens,
+    topk), not on ideal objects, so it keeps no ideal alive.
     """
     if not gens:
         out = n
@@ -290,7 +295,12 @@ def _depth_lower_bound(n, gens, topk):
     else:
         # split on the most shared variables among non-variable generators
         counts = {}
+        ceiling = n
+        used = 0
         for g in gens:
+            if not g & used:
+                used |= g
+                ceiling -= 1
             if g.bit_count() == 1:
                 continue
             b = g
@@ -301,16 +311,20 @@ def _depth_lower_bound(n, gens, topk):
         cand = sorted(counts, key=lambda m: (-counts[m], m))[:topk]
         out = 0
         for x in cand:
+            if out >= ceiling:
+                break
             # x is no generator, so both are minimal as built: I + x drops
             # the generators x divides; I : x strips x from them and keeps
             # each other generator that no stripped one divides
             rest = [g for g in gens if not g & x]
+            add = _depth_lower_bound(n, tuple(sorted(rest + [x])), topk)
+            if add <= out:
+                continue
             stripped = [g & ~x for g in gens if g & x]
             quot = stripped + [g for g in rest
                                if not any(s & g == s for s in stripped)]
             out = max(out, min(
-                _depth_lower_bound(n, tuple(sorted(quot)), topk),
-                _depth_lower_bound(n, tuple(sorted(rest + [x])), topk)))
+                add, _depth_lower_bound(n, tuple(sorted(quot)), topk)))
     return out
 
 
@@ -326,11 +340,13 @@ def hochster_depth(ideal, field=QQ, budget=DEFAULT_LATTICE_BUDGET,
     witnesses (nonzero reduced homology of induced subcomplexes, scanned
     over the lcm lattice by ascending homological degree, so cheap degrees
     come first), and depth >= the depth-lemma recursion bound, sharpened
-    once before the first matrix degree. The scan stops the moment the two
-    bounds meet; if they never do, the completed lattice scan is itself
-    exact. The lattice is built, and charged to its budget, only when a
-    scan runs; it is sorted by the total key (-|W|, W), so the witness is
-    the first (W, i) in that order. When either budget runs out the
+    from topk 1 up to 4 before any lattice is built. When the two bounds
+    meet there the answer is exact with no scan, and the witness is None.
+    Otherwise the scan stops the moment they meet; if they never do, the
+    completed lattice scan is itself exact. The lattice is built, and
+    charged to its budget, only when a scan runs; it is sorted by the
+    total key (-|W|, W), so the witness is the first (W, i) in that
+    order. When either budget runs out the
     answer is still exact if the bounds have met, and otherwise the
     certified interval is reported as indeterminate instead of a guess.
     """
@@ -342,25 +358,22 @@ def hochster_depth(ideal, field=QQ, budget=DEFAULT_LATTICE_BUDGET,
     cx = mono.stanley_reisner(ideal)
     # pd >= big height = max codim of an associated prime, always
     pd_lb = n - min(f.bit_count() for f in cx.facets)
-    topk = 1
-    depth_lb = _depth_lower_bound(n, ideal.gens, topk)
-    witness = None
     # the lattice's top element is the union of all generators
     top = 0
     for g in ideal.gens:
         top |= g
     max_size = top.bit_count()
+    for topk in range(1, 5):
+        # sharpen the lower bound before building any lattice
+        depth_lb = _depth_lower_bound(n, ideal.gens, topk)
+        if depth_lb >= n - pd_lb or pd_lb + 1 > max_size:
+            break
+    witness = None
     lattice = None
     spent = 0       # faces charged to face_budget
     i = -1          # combinatorial degrees first: they carry most witnesses
     try:
         while pd_lb + i + 2 <= max_size and n - pd_lb > depth_lb:
-            if i == 1 and topk < 4:
-                # sharpen the lower bound before resorting to matrix homology
-                topk += 1
-                depth_lb = max(depth_lb,
-                               _depth_lower_bound(n, ideal.gens, topk))
-                continue
             if lattice is None:
                 # by (-|W|, W): the sort by size keeps ties in mask order
                 lattice = sorted(sorted(_lcm_lattice(ideal, budget)),
@@ -429,25 +442,3 @@ def brute_depth_oracle(ideal, field=QQ):
                 witness = (w, i)
     return DepthResult(depth=n - pd, pd=pd, witness=witness)
 
-
-def depth_splitting_check(ideal, var_bits, field=QQ):
-    """The depth-splitting disjunction over a list of variables.
-
-    depth(R/I) must equal depth(R/<I, x_1..x_k>) or some
-    depth(R/(<I, x_1..x_{j-1}> : x_j)); verified by computing every
-    candidate depth outright. Variables already in I are treated as zero
-    (their candidates are skipped).
-    """
-    if not var_bits:
-        return True
-    d = hochster_depth(ideal, field).depth
-    cur = ideal
-    candidates = []
-    for b in var_bits:
-        q = mono.colon(cur, 1 << b)
-        if not q.is_unit():
-            candidates.append(hochster_depth(q, field).depth)
-        cur = mono.add_variables(cur, [b])
-    if not cur.is_unit():
-        candidates.append(hochster_depth(cur, field).depth)
-    return d in candidates

@@ -145,7 +145,6 @@ def random_two_block_gluing(rng, n_total=9):
         b = random_connected_graph(rng, n2, n_min=n2)
         va = rng.choice(sorted(a.vertices()))
         g = glue_at(a, va, b, rng.choice(sorted(b.vertices())))
-        v = a.n if va == a.n else None
         cvs = sorted(cut_vertices(g))
         if not cvs:
             continue

@@ -133,15 +133,17 @@ def test_verify_counts_capped_graphs_as_indeterminate(n):
 
 def test_verify_honours_budgets():
     # with both budgets at 1: P4 is CM and its depth bounds meet before
-    # any scan, so it is decided; ELQ? is accessible and its squeeze must
-    # scan the lcm lattice, so its depth, and with it CM, is indeterminate
+    # any scan, so it is decided; FvHC? is accessible and its depth-lemma
+    # bound stays at 7 up to topk 4, below n - pd_lb = 8, so its squeeze
+    # must scan the lcm lattice, and its depth, with it CM, is
+    # indeterminate
     budgets = ["--lattice-budget", "1", "--face-budget", "1"]
     code, out, err = run_cli(["verify", "saturation", "-", *budgets],
                              stdin="Ch\n")
     assert code == 0, err
     assert json.loads(out)["indeterminate"] == 0
     code, out, err = run_cli(["verify", "saturation", "-", *budgets],
-                             stdin="ELQ?\n")
+                             stdin="FvHC?\n")
     assert code == 2, err
     assert json.loads(out)["indeterminate"] >= 1
 

@@ -11,11 +11,11 @@ from beilab.graphs import (complete_graph, cycle_graph, parse_graph6,
                            path_graph)
 from beilab.homology import (BudgetExceeded, FieldSpec, QQ,
                              _depth_lower_bound, _lcm_lattice,
-                             _rank, brute_depth_oracle, depth_splitting_check,
-                             hochster_depth, reduced_homology_ranks,
+                             _rank, brute_depth_oracle, hochster_depth,
+                             reduced_homology_ranks,
                              reduced_ranks_from_facets, reisner_cm)
-from beilab.monomials import (MonomialIdeal, SimplicialComplex, colon,
-                              stanley_reisner)
+from beilab.monomials import (MonomialIdeal, SimplicialComplex,
+                              add_variables, colon, stanley_reisner)
 
 
 GF2 = FieldSpec(2)
@@ -157,6 +157,29 @@ def test_depth_brute_oracle_uses_reisner_free_path():
     assert (h.depth, h.pd) == (b.depth, b.pd)
 
 
+def depth_splitting_check(ideal, var_bits, field=QQ):
+    """The depth-splitting disjunction over a list of variables.
+
+    depth(R/I) must equal depth(R/<I, x_1..x_k>) or some
+    depth(R/(<I, x_1..x_{j-1}> : x_j)); verified by computing every
+    candidate depth outright. Variables already in I are treated as zero
+    (their candidates are skipped).
+    """
+    if not var_bits:
+        return True
+    d = hochster_depth(ideal, field).depth
+    cur = ideal
+    candidates = []
+    for b in var_bits:
+        q = colon(cur, 1 << b)
+        if not q.is_unit():
+            candidates.append(hochster_depth(q, field).depth)
+        cur = add_variables(cur, [b])
+    if not cur.is_unit():
+        candidates.append(hochster_depth(cur, field).depth)
+    return d in candidates
+
+
 def test_depth_splitting_consistency():
     rng = random.Random(4242)
     for _ in range(20):
@@ -174,12 +197,15 @@ def test_budget_indeterminate():
     i = initial_ideal(cycle_graph(5))
     r, brute = hochster_depth(i, budget=2), brute_depth_oracle(i)
     assert not r.indeterminate and (r.depth, r.pd) == (brute.depth, brute.pd)
-    # the star K_{1,4} must scan, and its lattice exceeds the budget
-    star = initial_ideal(parse_graph6("Ds_"))
-    r, brute = hochster_depth(star, budget=2), brute_depth_oracle(star)
+    # K_2 joined to three independent vertices: its depth-lemma bound
+    # stays at 5 up to topk 4, below n - pd_lb = 6, so it must scan, and
+    # its lattice exceeds the budget
+    join = initial_ideal(parse_graph6("D}o"))
+    r, brute = hochster_depth(join, budget=2), brute_depth_oracle(join)
     assert r.indeterminate and r.depth is None
     lo, hi = r.depth_bounds
     assert lo <= brute.depth <= hi
+    assert (lo, hi, brute.depth) == (5, 6, 5)
     c = reisner_cm(stanley_reisner(i), face_budget=2)
     assert c.indeterminate and c.is_cm is None
 
@@ -289,3 +315,24 @@ def test_depth_lower_bound_matches_reference_recursion():
         for topk in (1, 2, 3, 4):
             assert _depth_lower_bound(n, ideal_.gens, topk) == \
                 _reference_depth_lower_bound(ideal_, topk, {})
+
+
+def test_depth_lower_bound_is_monotone_and_certified():
+    # the pruned recursion: sharper topk never lowers the bound, which
+    # stays under the greedy ceiling n - nu and under the true depth
+    rng = random.Random(5150)
+    for _ in range(150):
+        n = rng.randint(2, 10)
+        ideal_ = MonomialIdeal.make(n, [
+            sum(1 << b for b in rng.sample(range(n), rng.randint(1, min(n, 4))))
+            for _ in range(rng.randint(1, 10))])
+        bounds = [_depth_lower_bound(n, ideal_.gens, topk)
+                  for topk in (1, 2, 3, 4)]
+        assert bounds == sorted(bounds)
+        used = nu = 0
+        for g in ideal_.gens:
+            if not g & used:
+                used |= g
+                nu += 1
+        assert bounds[-1] <= n - nu
+        assert bounds[-1] <= brute_depth_oracle(ideal_).depth

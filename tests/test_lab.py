@@ -271,6 +271,27 @@ def test_analyze_matches_golden_reports(corpus6):
         assert lab.report_json(lab.analyze(parse_graph6(record))) == line
 
 
+def test_analyze_matches_golden_example(fig):
+    # analyze_fig12.jsonl is the stdout of `beilab analyze` on the edge
+    # list of the 12-vertex example (conftest.fig_text); its depth is
+    # decided by the squeeze's bounds at n = 12 (CI also runs the
+    # installed command)
+    golden = (DATA / "analyze_fig12.jsonl").read_text()
+    assert lab.report_json(lab.analyze(fig)) + "\n" == golden
+
+
+def test_depth_equality_on_the_whole_example(fig):
+    # every cut vertex of the 12-vertex example gives an exact record
+    expected = {2: (12, 12, True), 6: (12, 12, True), 8: (12, 13, False),
+                11: (12, 12, True)}
+    for v, (lhs, rhs, equal) in expected.items():
+        assert lab.depth_equality_check(fig, v) == \
+            lab.DepthEqualityRecord(lhs, rhs, equal)
+    # at v = 2 side two is the rest of G whiskered at 2, a copy of G
+    side2 = lab.depth_JG(lab.whiskered_sides(fig, 2)[1])
+    assert not side2.indeterminate and side2.depth == lab.depth_JG(fig).depth
+
+
 def test_initial_ideal_matches_golden_generators(corpus6):
     # initial_ideal_upto6.txt is the stdout of `beilab initial-ideal
     # tests/data/connected_upto6.g6`: one generator a line, a blank line
