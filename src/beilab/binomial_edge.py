@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import monomials as mono
-from .cutsets import Cutset, enumerate_cutsets, is_cutset
+from .cutsets import Cutset, enumerate_cutsets
 from .graphs import (Graph, _relabel_around, connected_components,
                      decompose_at, saturate)
 
@@ -29,15 +29,6 @@ class AdmissiblePath:
     @property
     def j(self):
         return self.vertices[-1]
-
-
-@dataclass(frozen=True)
-class PrimeComponentBinomial:
-    """Combinatorial descriptor of the minimal prime attached to a cutset."""
-
-    cutset: Cutset
-    components: tuple  # vertex sets of G minus T
-    height: int
 
 
 @dataclass(frozen=True)
@@ -107,18 +98,6 @@ def initial_ideal(g):
     if len(ideal.gens) != len(masks):
         raise AssertionError("admissible-path generators should form an antichain")
     return ideal
-
-
-def prime_PT(g, t):
-    """Descriptor of the minimal prime of J_G attached to the cutset t."""
-    t = frozenset(t)
-    if not is_cutset(g, t):
-        raise ValueError("not a cutset")
-    comps = connected_components(g, t)
-    return PrimeComponentBinomial(
-        cutset=Cutset(t, len(comps)),
-        components=tuple(comps),
-        height=g.n + len(t) - len(comps))
 
 
 def prime_PTv(g, t, choice):

@@ -20,7 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 from .binomial_edge import DEFAULT_PATH_CAP, initial_ideal
-from .graphs import Graph, GraphParseError, parse_edge_list, parse_graph6
+from .graphs import GraphParseError, parse_edge_list, parse_graph6
 from .homology import (FieldSpec, QQ, DEFAULT_FACE_BUDGET,
                        DEFAULT_LATTICE_BUDGET)
 from .lab import VERIFIERS, analyze, report_json

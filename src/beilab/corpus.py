@@ -1,4 +1,4 @@
-"""Exhaustive small-graph corpora and graph6 stream handling.
+"""Exhaustive and random small-graph corpora.
 
 Non-isomorphic connected graphs are generated by orbit dedup over the full
 symmetric group: cheap at desk scale because the orbit of each
@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .graphs import Graph, is_connected, parse_graph6
+from .graphs import Graph, is_connected
 
 
 def _edge_index(n):
@@ -60,15 +60,6 @@ def connected_graphs_upto(n):
     for k in range(1, n + 1):
         out.extend(connected_graphs(k))
     return out
-
-
-def read_graph6_stream(lines):
-    """Parse an iterable of graph6 lines into graphs (blank lines skipped)."""
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        yield lineno, parse_graph6(line)
 
 
 def random_connected_graph(rng, n_max, n_min=2):

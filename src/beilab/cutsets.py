@@ -100,25 +100,3 @@ def is_accessible(g):
         if not any(t.vertices - {v} in members for v in t.vertices):
             return AccessibilityReport(False, t)
     return AccessibilityReport(True, None)
-
-
-def accessibility_chain(g, t):
-    """A decreasing chain t = T_k > ... > T_0 = {} inside the cutset lattice
-    with unit steps, if one exists (constructive witness for accessible
-    graphs). Returns the list of cutsets or None."""
-    members = {c.vertices for c in _lattice(g)}
-    t = frozenset(t)
-    if t not in members:
-        return None
-    chain = [t]
-    cur = t
-    while cur:
-        for v in sorted(cur):
-            nxt = cur - {v}
-            if nxt in members:
-                chain.append(nxt)
-                cur = nxt
-                break
-        else:
-            return None
-    return chain

@@ -43,7 +43,9 @@ QQ = FieldSpec(0)
 class CMCertificate:
     is_cm: bool | None             # None = indeterminate
     field: FieldSpec
-    witness: tuple | None = None   # reisner_cm: (face mask, degree i)
+    # reisner_cm: (face mask, degree i); lab: ("unmixedness", T, c(T)),
+    # ("accessibility", T) or ("depth", depth, dim)
+    witness: tuple | None = None
     indeterminate: bool = False
 
 
@@ -203,16 +205,6 @@ def reduced_ranks_from_facets(facets, field, max_degree=None):
             ranks[k] = h
         r = r_up
     return ranks
-
-
-def reduced_homology_ranks(cx, field=QQ, face_budget=DEFAULT_FACE_BUDGET):
-    """Ranks of reduced homology by degree, as a list for -1..dim."""
-    if cx.is_void():
-        return []
-    _budget_check(cx.facets, face_budget)
-    ranks = reduced_ranks_from_facets(cx.facets, field)
-    d = cx.dim()
-    return [ranks.get(k, 0) for k in range(-1, d + 1)]
 
 
 def _budget_check(facets, budget):

@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import cutsets as cs
 from .binomial_edge import initial_ideal
 from .graphs import (add_whisker, blocks, block_with_whiskers, cut_vertices,
                      decompose_at, delete_vertices, emit_graph6, girth,
-                     glue_at, induced_cycle_lengths, is_connected,
-                     is_free_vertex, saturate, INFINITY)
+                     induced_cycle_lengths, is_connected, is_free_vertex,
+                     saturate, INFINITY)
 from .homology import (QQ, CMCertificate, FieldSpec, hochster_depth,
                        DEFAULT_FACE_BUDGET, DEFAULT_LATTICE_BUDGET)
 # an oracle, not called here: bench/spans.py wraps lab.reisner_cm
@@ -112,8 +112,8 @@ def cm_check(g, field=QQ, face_budget=DEFAULT_FACE_BUDGET,
     """
     unm = cs.is_unmixed(g)
     acc = cs.is_accessible(g) if use_filters else None
-    return _cm_certificate(field, unm, acc, lambda: hochster_depth(
-        initial_ideal(g), field, lattice_budget, face_budget))
+    return _cm_certificate(field, unm, acc, lambda: depth_JG(
+        g, field, lattice_budget, face_budget))
 
 
 def dim_JG(g):
@@ -133,10 +133,8 @@ def analyze(g, field=QQ, face_budget=DEFAULT_FACE_BUDGET,
     unm = cs.is_unmixed(g)
     acc = cs.is_accessible(g)
     # one depth per graph, shared by the CM verdict and the report
-    depth = functools.cache(lambda: hochster_depth(
-        initial_ideal(g), field, lattice_budget, face_budget))
-    cert = _cm_certificate(field, unm, acc, depth)
-    dr = depth()
+    dr = depth_JG(g, field, lattice_budget, face_budget)
+    cert = _cm_certificate(field, unm, acc, lambda: dr)
     bd = blocks(g)
     return AnalysisReport(
         graph6=emit_graph6(g),
@@ -394,41 +392,6 @@ def verify_girth_theorem(corpus, field=QQ, corpus_name="", *,
         if cm(g) and not ok:
             violations.append((emit_graph6(g), f"cm-girth={gi}"))
     return cm.verdict("girth", corpus_name, count, tuple(violations))
-
-
-def glue_pairs_cm(g, v, h, w, field=QQ):
-    """The four cross-gluings of the sides of (g, v) and (h, w); returns
-    list of (label, graph, cm), with cm None when indeterminate."""
-    gsides, hsides = decompose_at(g, v).sides, decompose_at(h, w).sides
-    out = []
-    for i, (gi, gv) in enumerate(gsides, start=1):
-        for j, (hj, hv) in enumerate(hsides, start=1):
-            f = glue_at(gi, gv, hj, hv)
-            out.append((f"F{i}{j}", f, cm_check(f, field).is_cm))
-    return out
-
-
-def verify_identification(corpus_pairs, field=QQ, corpus_name=""):
-    """Composite gluing corollary: for CM graphs G, H with cut vertices v, w
-    whose deletions are unmixed, every cross-gluing F_ij is CM (conditional
-    => hypothesis-relevant on failure)."""
-    cm = _CMTally(field)
-    hypo = []
-    count = 0
-    for (g, v), (h, w) in corpus_pairs:
-        if not (cm(g) and cm(h)):
-            continue
-        dgv, _ = delete_vertices(g, [v])
-        dhw, _ = delete_vertices(h, [w])
-        if not (cs.is_unmixed(dgv).unmixed and cs.is_unmixed(dhw).unmixed):
-            continue
-        count += 1
-        for label, f, is_cm in glue_pairs_cm(g, v, h, w, field):
-            cm.indeterminate += is_cm is None
-            if is_cm is False:
-                hypo.append((emit_graph6(f), f"{label} not CM"))
-    return cm.verdict("identification", corpus_name, count, (),
-                       hypothesis_relevant=tuple(hypo))
 
 
 def hypothesis_search(corpus, field=QQ, corpus_name="", *,

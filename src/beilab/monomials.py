@@ -220,17 +220,3 @@ def stanley_reisner(ideal):
     # the minimal primes are an antichain, so their complements are too
     return SimplicialComplex(ideal.nvars, tuple(sorted(
         full & ~p for p in minimal_primes(ideal))))
-
-
-def minimal_primes_by_faces(ideal):
-    """Independent recomputation of minimal primes via brute-force face
-    enumeration (test oracle): complements of the maximal generator-free
-    subsets of the universe."""
-    full = (1 << ideal.nvars) - 1
-    if ideal.is_zero():
-        return ()
-    sets = []
-    for w in range(full + 1):
-        if not any(g & w == g for g in ideal.gens):
-            sets.append(w)
-    return tuple(sorted(full & ~f for f in max_antichain(sets)))

@@ -6,9 +6,8 @@ from sympy import groebner, symbols
 
 from beilab.binomial_edge import (_induced, admissible_paths, ass_initial,
                                   colon_saturation_identity, initial_ideal,
-                                  path_monomial, prime_PT, prime_ideal,
+                                  path_monomial, prime_ideal,
                                   setup_identities, verify_decomposition)
-from beilab.cutsets import enumerate_cutsets
 from beilab.graphs import (Graph, complete_graph, cut_vertices, cycle_graph,
                            glue_at, parse_edge_list, path_graph)
 from beilab.monomials import mask_name, minimal_primes, xvar, yvar
@@ -85,14 +84,6 @@ def test_minimal_primes_of_path3():
                           for b in range(6) if p >> b & 1))
     assert got == {frozenset({"x1", "x2"}), frozenset({"x2", "y2"}),
                    frozenset({"x1", "y3"}), frozenset({"y2", "y3"})}
-
-
-def test_prime_PT_height():
-    g = path_graph(4)
-    for c in enumerate_cutsets(g):
-        p = prime_PT(g, c.vertices)
-        # height n + |T| - c(T) counts x,y pairs on T plus per-component rows
-        assert p.height == g.n + len(c.vertices) - c.c
 
 
 def test_ass_counts():

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from beilab import cli
-from beilab.graphs import emit_graph6, path_graph
+from beilab.graphs import GraphParseError, emit_graph6, path_graph
 from conftest import fig_text
 
 
@@ -56,6 +56,16 @@ def test_analyze_parse_error_names_line():
     code, out, err = run_cli(["analyze", "-"], stdin="Bg\nnot graph6 at all\n")
     assert code == 1
     assert "line 2" in err
+
+
+def test_parse_input_graph6_stream():
+    # blank lines are skipped, a header is tolerated, and an error names
+    # the record's line in the original text
+    graphs = cli.parse_input("Bg\n\nC~\n>>graph6<<Dhc\n")
+    assert [g.n for g in graphs] == [3, 4, 5]
+    for bad in ("!!", "C"):    # not graph6 at all; a truncated record
+        with pytest.raises(GraphParseError, match="^line 3: "):
+            cli.parse_input(f"Bg\n\n{bad}\n")
 
 
 def test_analyze_max_n_indeterminate():

@@ -3,8 +3,7 @@ import random
 import networkx as nx
 
 from beilab.corpus import (all_graphs, connected_graphs,
-                           connected_graphs_upto, random_connected_graph,
-                           read_graph6_stream)
+                           connected_graphs_upto, random_connected_graph)
 from beilab.graphs import emit_graph6, is_connected
 
 
@@ -49,13 +48,6 @@ def test_representatives_pairwise_nonisomorphic():
         for j in range(i + 1, len(hs)):
             if len(hs[i].edges) == len(hs[j].edges):
                 assert not nx.is_isomorphic(hs[i], hs[j])
-
-
-def test_read_graph6_stream():
-    lines = ["Bg", "", "C~", ">>graph6<<Dhc"]
-    got = list(read_graph6_stream(lines))
-    assert [k for k, _ in got] == [1, 3, 4]
-    assert [g.n for _, g in got] == [3, 4, 5]
 
 
 def test_random_connected_graph_is_connected_and_seeded():

@@ -4,13 +4,29 @@ import random
 import networkx as nx
 from hypothesis import given, settings, strategies as st
 
-from beilab.cutsets import (accessibility_chain, component_count,
-                            enumerate_cutsets, is_accessible, is_cutset,
-                            is_unmixed)
+from beilab.cutsets import (component_count, enumerate_cutsets,
+                            is_accessible, is_cutset, is_unmixed)
 from beilab.graphs import (complete_graph, cut_vertices, cycle_graph,
                            is_free_vertex, path_graph)
 from beilab.corpus import random_connected_graph
 from conftest import random_graphs_any
+
+
+def accessibility_chain(g, t):
+    """A chain t = T_k > ... > T_0 = {} of cutsets of g with unit steps,
+    or None if t is not a cutset or no such chain descends from it."""
+    members = {c.vertices for c in enumerate_cutsets(g)}
+    chain = [frozenset(t)]
+    if chain[0] not in members:
+        return None
+    while chain[-1]:
+        cur = chain[-1]
+        nxt = next((cur - {v} for v in sorted(cur) if cur - {v} in members),
+                   None)
+        if nxt is None:
+            return None
+        chain.append(nxt)
+    return chain
 
 
 def brute_cutsets(g):

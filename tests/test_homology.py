@@ -12,7 +12,6 @@ from beilab.graphs import (complete_graph, cycle_graph, parse_graph6,
 from beilab.homology import (BudgetExceeded, FieldSpec, QQ,
                              _depth_lower_bound, _lcm_lattice,
                              _rank, brute_depth_oracle, hochster_depth,
-                             reduced_homology_ranks,
                              reduced_ranks_from_facets, reisner_cm)
 from beilab.monomials import (MonomialIdeal, SimplicialComplex,
                               add_variables, colon, stanley_reisner)
@@ -38,25 +37,25 @@ def test_field_spec_validation():
 def test_homology_circle():
     # hollow triangle = circle: H~_1 = 1
     cx = SimplicialComplex.make(3, [0b011, 0b101, 0b110])
-    assert reduced_homology_ranks(cx, QQ) == [0, 0, 1]
+    assert reduced_ranks_from_facets(cx.facets, QQ) == {1: 1}
 
 
 def test_homology_sphere_and_ball():
     # boundary of the 3-simplex = 2-sphere
     faces = [0b1110, 0b1101, 0b1011, 0b0111]
     cx = SimplicialComplex.make(4, faces)
-    assert reduced_homology_ranks(cx, QQ) == [0, 0, 0, 1]
+    assert reduced_ranks_from_facets(cx.facets, QQ) == {2: 1}
     # full simplex: contractible
     cx = SimplicialComplex.make(4, [0b1111])
-    assert reduced_homology_ranks(cx, QQ) == [0, 0, 0, 0, 0]
+    assert reduced_ranks_from_facets(cx.facets, QQ) == {}
 
 
 def test_homology_two_points_and_irrelevant():
     cx = SimplicialComplex.make(2, [0b01, 0b10])
-    assert reduced_homology_ranks(cx, QQ) == [0, 1]
+    assert reduced_ranks_from_facets(cx.facets, QQ) == {0: 1}
     # irrelevant complex {empty face}: H~_{-1} = 1
     cx = SimplicialComplex.make(2, [0])
-    assert reduced_homology_ranks(cx, QQ) == [1]
+    assert reduced_ranks_from_facets(cx.facets, QQ) == {-1: 1}
 
 
 def test_homology_torus_triangulation():
@@ -68,7 +67,7 @@ def test_homology_torus_triangulation():
             for i in range(7)]
     facets = [sum(1 << (v - 1) for v in t) for t in tri]
     cx = SimplicialComplex.make(7, facets)
-    assert reduced_homology_ranks(cx, QQ) == [0, 0, 2, 1]
+    assert reduced_ranks_from_facets(cx.facets, QQ) == {1: 2, 2: 1}
 
 
 def test_projective_plane_characteristic_dependence():
@@ -78,8 +77,8 @@ def test_projective_plane_characteristic_dependence():
            (2, 4, 5), (2, 4, 6), (3, 4, 6), (3, 5, 6)]
     facets = [sum(1 << (v - 1) for v in t) for t in tri]
     cx = SimplicialComplex.make(6, facets)
-    assert reduced_homology_ranks(cx, QQ) == [0, 0, 0, 0]
-    assert reduced_homology_ranks(cx, GF2) == [0, 0, 1, 1]
+    assert reduced_ranks_from_facets(cx.facets, QQ) == {}
+    assert reduced_ranks_from_facets(cx.facets, GF2) == {1: 1, 2: 1}
 
 
 def test_rank_matches_sympy():

@@ -14,6 +14,42 @@ import beilab.lab as lab
 DATA = pathlib.Path(__file__).parent / "data"
 
 
+def glue_pairs_cm(g, v, h, w, field=QQ):
+    """The four cross-gluings of the sides of (g, v) and (h, w), as a list
+    of (label, graph, cm), with cm None when indeterminate."""
+    gsides, hsides = decompose_at(g, v).sides, decompose_at(h, w).sides
+    out = []
+    for i, (gi, gv) in enumerate(gsides, start=1):
+        for j, (hj, hv) in enumerate(hsides, start=1):
+            f = glue_at(gi, gv, hj, hv)
+            out.append((f"F{i}{j}", f, lab.cm_check(f, field).is_cm))
+    return out
+
+
+def verify_identification(corpus_pairs, field=QQ, corpus_name=""):
+    """Composite gluing corollary: for CM graphs G, H with cut vertices v, w
+    whose deletions are unmixed, every cross-gluing F_ij is CM (conditional,
+    so a failure is hypothesis-relevant)."""
+    cm = lab._CMTally(field)
+    hypo = []
+    count = 0
+    for (g, v), (h, w) in corpus_pairs:
+        if not (cm(g) and cm(h)):
+            continue
+        dgv, _ = delete_vertices(g, [v])
+        dhw, _ = delete_vertices(h, [w])
+        if not (lab.cs.is_unmixed(dgv).unmixed
+                and lab.cs.is_unmixed(dhw).unmixed):
+            continue
+        count += 1
+        for label, f, is_cm in glue_pairs_cm(g, v, h, w, field):
+            cm.indeterminate += is_cm is None
+            if is_cm is False:
+                hypo.append((emit_graph6(f), f"{label} not CM"))
+    return cm.verdict("identification", corpus_name, count, (),
+                      hypothesis_relevant=tuple(hypo))
+
+
 def test_cm_check_classics():
     assert lab.cm_check(path_graph(4)).is_cm
     assert lab.cm_check(complete_graph(5)).is_cm
@@ -80,7 +116,7 @@ def test_depth_equality_on_decomposable_control():
 
 def test_glue_pairs_cm():
     g = glue_at(path_graph(3), 3, path_graph(3), 1)
-    out = lab.glue_pairs_cm(g, 3, g, 3)
+    out = glue_pairs_cm(g, 3, g, 3)
     assert len(out) == 4
     assert all(is_cm for _, _, is_cm in out)
 
@@ -88,7 +124,7 @@ def test_glue_pairs_cm():
 @pytest.mark.parametrize("split_at_1", [
     pytest.param(lambda g: decompose_at(g, 1), id="decompose_at"),
     pytest.param(lambda g: lab.whiskered_sides(g, 1), id="whiskered_sides"),
-    pytest.param(lambda g: lab.glue_pairs_cm(g, 1, g, 1), id="glue_pairs_cm"),
+    pytest.param(lambda g: glue_pairs_cm(g, 1, g, 1), id="glue_pairs_cm"),
     pytest.param(lambda g: lab.depth_question_filter(g, 1),
                  id="depth_question_filter"),
     pytest.param(lambda g: setup_identities(g, 1), id="setup_identities"),
@@ -101,7 +137,7 @@ def test_split_at_a_non_cut_vertex_is_one_error(split_at_1):
 
 def test_verify_identification():
     g = glue_at(path_graph(3), 3, path_graph(3), 1)
-    v = lab.verify_identification([((g, 3), (g, 3))], corpus_name="pair")
+    v = verify_identification([((g, 3), (g, 3))], corpus_name="pair")
     assert v.instances == 1 and not v.hypothesis_relevant
 
 
@@ -168,8 +204,8 @@ def test_analyze_enumerates_cutsets_once(monkeypatch, fig):
         return real(g)
 
     monkeypatch.setattr(lab.cs, "enumerate_cutsets", counting)
-    # the example graph stops at the unmixedness filter; the path reaches
-    # Reisner
+    # the example graph stops at the unmixedness filter; the path passes
+    # both filters and reaches the depth
     for g in (fig, path_graph(4)):
         calls.clear()
         lab.analyze(g)
@@ -251,7 +287,7 @@ def test_indeterminate_cm_is_never_false(monkeypatch, corpus5):
                 for verify in lab.VERIFIERS.values()]
     cut = [(g, min(lab.cut_vertices(g))) for g in corpus5
            if lab.cut_vertices(g)]
-    verdicts.append(lab.verify_identification(list(zip(cut, cut[1:]))))
+    verdicts.append(verify_identification(list(zip(cut, cut[1:]))))
     for v in verdicts:
         assert not (v.violations or v.hypothesis_relevant or v.findings), \
             v.theorem_id

@@ -5,9 +5,9 @@ from hypothesis import given, settings, strategies as st
 from beilab.binomial_edge import initial_ideal
 from beilab.corpus import all_graphs
 from beilab.monomials import (MonomialIdeal, SimplicialComplex, add_ideals,
-                              colon, equal, intersect, minimal_primes,
-                              minimal_primes_by_faces, stanley_reisner,
-                              var_name, xvar, yvar)
+                              colon, equal, intersect, max_antichain,
+                              minimal_primes, stanley_reisner, var_name,
+                              xvar, yvar)
 
 
 def ideal(nvars, *gens):
@@ -66,6 +66,17 @@ def test_sum_and_intersection_membership(ga, gb):
     for u in range(1 << 8):
         assert s.contains(u) == (a.contains(u) or b.contains(u))
         assert t.contains(u) == (a.contains(u) and b.contains(u))
+
+
+def minimal_primes_by_faces(ideal):
+    """Minimal primes recomputed by brute-force face enumeration: the
+    complements of the maximal generator-free subsets of the universe."""
+    full = (1 << ideal.nvars) - 1
+    if ideal.is_zero():
+        return ()
+    free = [w for w in range(full + 1)
+            if not any(g & w == g for g in ideal.gens)]
+    return tuple(sorted(full & ~f for f in max_antichain(free)))
 
 
 def _assert_exact_primes(i):
