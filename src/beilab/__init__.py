@@ -16,7 +16,7 @@ from .binomial_edge import (admissible_paths, ass_initial,
                             colon_saturation_identity, initial_ideal,
                             prime_ideal, setup_identities,
                             verify_decomposition)
-from .homology import (FieldSpec, QQ, hochster_depth, reisner_cm,
+from .homology import (FieldSpec, Limits, QQ, hochster_depth, reisner_cm,
                        brute_depth_oracle)
 from .lab import (AnalysisReport, TheoremVerdict, VERIFIERS, analyze,
                   cm_check, depth_JG, depth_equality_check,

@@ -17,11 +17,11 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .binomial_edge import DEFAULT_PATH_CAP, initial_ideal
 from .graphs import GraphParseError, parse_edge_list, parse_graph6
-from .homology import (FieldSpec, QQ, DEFAULT_FACE_BUDGET,
+from .homology import (FieldSpec, Limits, DEFAULT_FACE_BUDGET,
                        DEFAULT_LATTICE_BUDGET)
 from .lab import VERIFIERS, analyze, report_json
 
@@ -32,15 +32,6 @@ EXIT_HYPOTHESIS = 3
 EXIT_UNKNOWN_THEOREM = 64
 
 _ENV_PREFIX = "BEI_"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    field: FieldSpec = QQ
-    face_budget: int = DEFAULT_FACE_BUDGET
-    lattice_budget: int = DEFAULT_LATTICE_BUDGET
-    max_n: int = 16
-    threads: int = 1
 
 
 def _env_default(name, fallback):
@@ -58,6 +49,20 @@ def _characteristic(text):
             f"{text!r} is neither 0 nor a prime below 2**31") from None
 
 
+def _at_least(low):
+    """The type of a count flag: an integer no less than ``low``."""
+    def count(text):
+        try:
+            value = int(text)
+            if value >= low:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not an integer >= {low}")
+    return count
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="beilab",
@@ -65,16 +70,17 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--face-budget", type=int,
+        sp.add_argument("--face-budget", type=_at_least(0),
                         default=_env_default("FACE_BUDGET", DEFAULT_FACE_BUDGET))
-        sp.add_argument("--lattice-budget", type=int,
+        sp.add_argument("--lattice-budget", type=_at_least(0),
                         default=_env_default("LATTICE_BUDGET",
                                              DEFAULT_LATTICE_BUDGET))
-        sp.add_argument("--max-n", type=int, default=_env_default("MAX_N", 16))
+        sp.add_argument("--max-n", type=_at_least(0),
+                        default=_env_default("MAX_N", 16))
         sp.add_argument("--field", type=_characteristic,
                         default=_env_default("FIELD", 0),
                         help="characteristic: 0 or a prime")
-        sp.add_argument("--threads", type=int,
+        sp.add_argument("--threads", type=_at_least(1),
                         default=_env_default("THREADS", 1))
 
     a = sub.add_parser("analyze", help="per-graph JSON reports")
@@ -92,12 +98,10 @@ def build_parser():
     return p
 
 
-def _config(args):
-    return RunConfig(field=FieldSpec(args.field),
-                     face_budget=args.face_budget,
-                     lattice_budget=args.lattice_budget,
-                     max_n=args.max_n,
-                     threads=max(1, args.threads))
+def _limits(args):
+    """The field and the two budgets of a parsed command line."""
+    return Limits(FieldSpec(args.field), args.lattice_budget,
+                  args.face_budget)
 
 
 def _read_text(path):
@@ -139,36 +143,35 @@ def parse_input(text):
     raise GraphParseError(f"line 1: neither graph6 nor edge-list: {first!r}")
 
 
-def _cap_exceeded(g, cfg):
+def _cap_exceeded(g, max_n):
     """The name of the cap a graph is over, or None if it is within both:
     --max-n, and the admissible-path cap of the initial ideal."""
-    if g.n > cfg.max_n:
+    if g.n > max_n:
         return "max-n"
     if g.n > DEFAULT_PATH_CAP:
         return "path-cap"
     return None
 
 
-def _analyze_one(g, cfg):
-    cap = _cap_exceeded(g, cfg)
+def _analyze_one(g, limits, max_n):
+    cap = _cap_exceeded(g, max_n)
     if cap:
         return json.dumps({"budget": f"{cap} exceeded"},
                           separators=(",", ":"))
-    return report_json(analyze(g, cfg.field,
-                               face_budget=cfg.face_budget,
-                               lattice_budget=cfg.lattice_budget))
+    return report_json(analyze(g, limits))
 
 
 def cmd_analyze(args, out=sys.stdout):
-    cfg = _config(args)
+    limits = _limits(args)
     try:
         graphs = parse_input(_read_text(args.input))
     except (GraphParseError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
     # output order matches input order regardless of completion order
-    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        reports = list(pool.map(lambda g: _analyze_one(g, cfg), graphs))
+    with ThreadPoolExecutor(max_workers=args.threads) as pool:
+        reports = list(pool.map(
+            lambda g: _analyze_one(g, limits, args.max_n), graphs))
     status = EXIT_OK
     for rep in reports:
         print(rep, file=out)
@@ -182,17 +185,14 @@ def cmd_verify(args, out=sys.stdout):
         print(f"error: unknown theorem id {args.theorem!r}; "
               f"known: {', '.join(sorted(VERIFIERS))}", file=sys.stderr)
         return EXIT_UNKNOWN_THEOREM
-    cfg = _config(args)
     try:
         graphs = parse_input(_read_text(args.corpus))
     except (GraphParseError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
-    within = [g for g in graphs if not _cap_exceeded(g, cfg)]
-    verdict = VERIFIERS[args.theorem](within, cfg.field,
-                                      corpus_name=args.corpus,
-                                      face_budget=cfg.face_budget,
-                                      lattice_budget=cfg.lattice_budget)
+    within = [g for g in graphs if not _cap_exceeded(g, args.max_n)]
+    verdict = VERIFIERS[args.theorem](within, _limits(args),
+                                      corpus_name=args.corpus)
     verdict = replace(verdict, indeterminate=verdict.indeterminate
                       + len(graphs) - len(within))
     print(verdict.to_json(), file=out)
@@ -206,7 +206,6 @@ def cmd_verify(args, out=sys.stdout):
 
 
 def cmd_initial_ideal(args, out=sys.stdout):
-    cfg = _config(args)
     try:
         graphs = parse_input(_read_text(args.input))
     except (GraphParseError, OSError) as e:
@@ -216,7 +215,7 @@ def cmd_initial_ideal(args, out=sys.stdout):
     for k, g in enumerate(graphs):
         if k:
             print("", file=out)
-        cap = _cap_exceeded(g, cfg)
+        cap = _cap_exceeded(g, args.max_n)
         if cap:
             print(f"# {cap} exceeded", file=out)
             status = EXIT_INDETERMINATE

@@ -40,6 +40,16 @@ QQ = FieldSpec(0)
 
 
 @dataclass(frozen=True)
+class Limits:
+    """The field of one depth computation and the two budgets that bound
+    its squeeze: lattice_budget the size of the lcm lattice, face_budget
+    the faces its homology enumerates (also the Reisner face estimate)."""
+    field: FieldSpec = QQ
+    lattice_budget: int = DEFAULT_LATTICE_BUDGET
+    face_budget: int = DEFAULT_FACE_BUDGET
+
+
+@dataclass(frozen=True)
 class CMCertificate:
     is_cm: bool | None             # None = indeterminate
     field: FieldSpec
@@ -216,17 +226,18 @@ def _budget_check(facets, budget):
 # ---------------------------------------------------------------------------
 # Reisner criterion
 
-def reisner_cm(cx, field=QQ, face_budget=DEFAULT_FACE_BUDGET):
+def reisner_cm(cx, limits=Limits()):
     """Cohen-Macaulayness of the Stanley-Reisner ring via link homology.
 
     CM iff for every face sigma (including the empty face), the reduced
     homology of its link vanishes below the link's dimension. The witness
     on failure is the smallest bad (face, degree) in (size, mask) order.
     """
+    field = limits.field
     if cx.is_void() or cx.facets == (0,):
         return CMCertificate(True, field)
     try:
-        _budget_check(cx.facets, face_budget)
+        _budget_check(cx.facets, limits.face_budget)
         faces = sorted(cx.faces(), key=lambda f: (f.bit_count(), f))
         for sigma in faces:
             link = cx.link(sigma).facets
@@ -324,8 +335,7 @@ def _binom_sum(n, k):
     return sum(comb(n, s) for s in range(0, min(n, k) + 1))
 
 
-def hochster_depth(ideal, field=QQ, budget=DEFAULT_LATTICE_BUDGET,
-                   face_budget=DEFAULT_FACE_BUDGET):
+def hochster_depth(ideal, limits=Limits()):
     """depth of the quotient by a square-free monomial ideal, exactly.
 
     Squeeze strategy: depth <= n - pd where pd is pushed up by Hochster
@@ -338,7 +348,7 @@ def hochster_depth(ideal, field=QQ, budget=DEFAULT_LATTICE_BUDGET,
     completed lattice scan is itself exact. The lattice is built, and
     charged to its budget, only when a scan runs; it is sorted by the
     total key (-|W|, W), so the witness is the first (W, i) in that
-    order. When either budget runs out the
+    order. When either budget in ``limits`` runs out the
     answer is still exact if the bounds have met, and otherwise the
     certified interval is reported as indeterminate instead of a guess.
     """
@@ -347,6 +357,7 @@ def hochster_depth(ideal, field=QQ, budget=DEFAULT_LATTICE_BUDGET,
     n = ideal.nvars
     if ideal.is_zero():
         return DepthResult(depth=n, pd=0, witness=None)
+    field, face_budget = limits.field, limits.face_budget
     cx = mono.stanley_reisner(ideal)
     # pd >= big height = max codim of an associated prime, always
     pd_lb = n - min(f.bit_count() for f in cx.facets)
@@ -367,9 +378,10 @@ def hochster_depth(ideal, field=QQ, budget=DEFAULT_LATTICE_BUDGET,
     try:
         while pd_lb + i + 2 <= max_size and n - pd_lb > depth_lb:
             if lattice is None:
+                lattice = _lcm_lattice(ideal, limits.lattice_budget)
                 # by (-|W|, W): the sort by size keeps ties in mask order
-                lattice = sorted(sorted(_lcm_lattice(ideal, budget)),
-                                 key=int.bit_count, reverse=True)
+                lattice = sorted(sorted(lattice), key=int.bit_count,
+                                 reverse=True)
             for w in lattice:
                 size = w.bit_count()
                 if size < pd_lb + i + 2:

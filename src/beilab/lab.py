@@ -17,8 +17,7 @@ from .graphs import (add_whisker, blocks, block_with_whiskers, cut_vertices,
                      decompose_at, delete_vertices, emit_graph6, girth,
                      induced_cycle_lengths, is_connected, is_free_vertex,
                      saturate, INFINITY)
-from .homology import (QQ, CMCertificate, FieldSpec, hochster_depth,
-                       DEFAULT_FACE_BUDGET, DEFAULT_LATTICE_BUDGET)
+from .homology import CMCertificate, Limits, hochster_depth
 # an oracle, not called here: bench/spans.py wraps lab.reisner_cm
 from .homology import reisner_cm  # noqa: F401
 
@@ -99,8 +98,7 @@ def _cm_certificate(field, unm, acc, depth):
     return CMCertificate(False, field, witness=("depth", dr.depth, unm.dim))
 
 
-def cm_check(g, field=QQ, face_budget=DEFAULT_FACE_BUDGET,
-             use_filters=True, lattice_budget=DEFAULT_LATTICE_BUDGET):
+def cm_check(g, limits=Limits(), use_filters=True):
     """Cohen-Macaulayness of the binomial edge ideal: depth == dim, where
     in(J_G) is square-free, so S/J_G and S/in(J_G) share depth and
     dimension (Conca-Varbaro), and the depth is the Hochster squeeze's.
@@ -108,12 +106,12 @@ def cm_check(g, field=QQ, face_budget=DEFAULT_FACE_BUDGET,
     Pre-filters: not unmixed => not CM (cutset witness); not accessible =>
     not CM (known necessity; disable with use_filters=False to force the
     depth route). Otherwise not CM has the witness ("depth", depth, dim),
-    and a depth out of either budget gives is_cm None.
+    and a depth out of either budget of ``limits`` gives is_cm None.
     """
     unm = cs.is_unmixed(g)
     acc = cs.is_accessible(g) if use_filters else None
-    return _cm_certificate(field, unm, acc, lambda: depth_JG(
-        g, field, lattice_budget, face_budget))
+    return _cm_certificate(limits.field, unm, acc,
+                           lambda: depth_JG(g, limits))
 
 
 def dim_JG(g):
@@ -121,20 +119,18 @@ def dim_JG(g):
     return cs.is_unmixed(g).dim
 
 
-def depth_JG(g, field=QQ, budget=DEFAULT_LATTICE_BUDGET,
-             face_budget=DEFAULT_FACE_BUDGET):
+def depth_JG(g, limits=Limits()):
     """Depth of the quotient by J_G, via depth of its initial ideal."""
-    return hochster_depth(initial_ideal(g), field, budget, face_budget)
+    return hochster_depth(initial_ideal(g), limits)
 
 
-def analyze(g, field=QQ, face_budget=DEFAULT_FACE_BUDGET,
-            lattice_budget=DEFAULT_LATTICE_BUDGET):
+def analyze(g, limits=Limits()):
     cuts = cs.enumerate_cutsets(g)
     unm = cs.is_unmixed(g)
     acc = cs.is_accessible(g)
     # one depth per graph, shared by the CM verdict and the report
-    dr = depth_JG(g, field, lattice_budget, face_budget)
-    cert = _cm_certificate(field, unm, acc, lambda: dr)
+    dr = depth_JG(g, limits)
+    cert = _cm_certificate(limits.field, unm, acc, lambda: dr)
     bd = blocks(g)
     return AnalysisReport(
         graph6=emit_graph6(g),
@@ -151,7 +147,7 @@ def analyze(g, field=QQ, face_budget=DEFAULT_FACE_BUDGET,
                             if acc.witness else None),
         cm=cert.is_cm,
         cm_witness=cert.witness,
-        field_char=field.characteristic,
+        field_char=limits.field.characteristic,
         depth=None if dr.indeterminate else dr.depth,
         dim=unm.dim)
 
@@ -191,17 +187,14 @@ def _jsonable(x):
 
 @dataclass
 class _CMTally:
-    """cm_check(g).is_cm in one verifier run, within the run's budgets;
+    """cm_check(g).is_cm in one verifier run, within the run's limits;
     counts the None answers, which the run's verdict reports as
     indeterminate."""
-    field: FieldSpec
-    face_budget: int = DEFAULT_FACE_BUDGET
-    lattice_budget: int = DEFAULT_LATTICE_BUDGET
+    limits: Limits
     indeterminate: int = 0
 
     def __call__(self, g):
-        is_cm = cm_check(g, self.field, self.face_budget,
-                         lattice_budget=self.lattice_budget).is_cm
+        is_cm = cm_check(g, self.limits).is_cm
         self.indeterminate += is_cm is None
         return is_cm
 
@@ -218,11 +211,9 @@ def _two_sided_splits(g, cuts):
     return [(v, decompose_at(g, v)) for v in sorted(cuts)]
 
 
-def verify_prop_saturation(corpus, field=QQ, corpus_name="", *,
-                           face_budget=DEFAULT_FACE_BUDGET,
-                           lattice_budget=DEFAULT_LATTICE_BUDGET):
+def verify_prop_saturation(corpus, limits=Limits(), corpus_name=""):
     """CM(J_G) implies CM(J_{G_v}) for every vertex v."""
-    cm = _CMTally(field, face_budget, lattice_budget)
+    cm = _CMTally(limits)
     violations = []
     count = 0
     for g in corpus:
@@ -235,9 +226,7 @@ def verify_prop_saturation(corpus, field=QQ, corpus_name="", *,
     return cm.verdict("saturation", corpus_name, count, tuple(violations))
 
 
-def verify_deletion_lemmas(corpus, field=QQ, corpus_name="", *,
-                           face_budget=DEFAULT_FACE_BUDGET,
-                           lattice_budget=DEFAULT_LATTICE_BUDGET):
+def verify_deletion_lemmas(corpus, limits=Limits(), corpus_name=""):
     """The deletion-family implications at a cut vertex.
 
     For each split G = G1 u G2 at v:
@@ -249,7 +238,7 @@ def verify_deletion_lemmas(corpus, field=QQ, corpus_name="", *,
     Plus, for non-cut vertices: unmixed(G_v) and unmixed(G - v) =>
     unmixed(G_v - v).
     """
-    cm = _CMTally(field, face_budget, lattice_budget)
+    cm = _CMTally(limits)
     violations = []
     count = 0
     for g in corpus:
@@ -309,9 +298,7 @@ def _whiskered(dec):
     return tuple(add_whisker(*side) for side in dec.sides)
 
 
-def verify_gluing_theorems(corpus, field=QQ, corpus_name="", *,
-                           face_budget=DEFAULT_FACE_BUDGET,
-                           lattice_budget=DEFAULT_LATTICE_BUDGET):
+def verify_gluing_theorems(corpus, limits=Limits(), corpus_name=""):
     """Whisker gluing: forward direction plus the conditional converse.
 
     Forward (unconditional): CM(G) => both whiskered sides CM at every cut
@@ -320,7 +307,7 @@ def verify_gluing_theorems(corpus, field=QQ, corpus_name="", *,
     failures of the converse are reported as hypothesis-relevant, never as
     violations.
     """
-    cm = _CMTally(field, face_budget, lattice_budget)
+    cm = _CMTally(limits)
     violations = []
     hypo = []
     count = 0
@@ -353,12 +340,10 @@ def verify_gluing_theorems(corpus, field=QQ, corpus_name="", *,
                        hypothesis_relevant=tuple(hypo))
 
 
-def verify_blocks_corollary(corpus, field=QQ, corpus_name="", *,
-                            face_budget=DEFAULT_FACE_BUDGET,
-                            lattice_budget=DEFAULT_LATTICE_BUDGET):
+def verify_blocks_corollary(corpus, limits=Limits(), corpus_name=""):
     """Converse blocks corollary: unmixed(G) and all blocks-with-whiskers CM
     => CM(G); conditional, so failures are hypothesis-relevant."""
-    cm = _CMTally(field, face_budget, lattice_budget)
+    cm = _CMTally(limits)
     hypo = []
     count = 0
     for g in corpus:
@@ -376,11 +361,9 @@ def verify_blocks_corollary(corpus, field=QQ, corpus_name="", *,
                        hypothesis_relevant=tuple(hypo))
 
 
-def verify_girth_theorem(corpus, field=QQ, corpus_name="", *,
-                         face_budget=DEFAULT_FACE_BUDGET,
-                         lattice_budget=DEFAULT_LATTICE_BUDGET):
+def verify_girth_theorem(corpus, limits=Limits(), corpus_name=""):
     """Every CM graph, and every accessible graph, has girth in {3,4,inf}."""
-    cm = _CMTally(field, face_budget, lattice_budget)
+    cm = _CMTally(limits)
     violations = []
     count = 0
     for g in corpus:
@@ -394,13 +377,11 @@ def verify_girth_theorem(corpus, field=QQ, corpus_name="", *,
     return cm.verdict("girth", corpus_name, count, tuple(violations))
 
 
-def hypothesis_search(corpus, field=QQ, corpus_name="", *,
-                      face_budget=DEFAULT_FACE_BUDGET,
-                      lattice_budget=DEFAULT_LATTICE_BUDGET):
+def hypothesis_search(corpus, limits=Limits(), corpus_name=""):
     """Scan for counterexamples to the open deletion hypothesis and for CM
     girth-4 graphs carrying a long induced cycle. Findings are search
     outputs; an empty result is the expected (reportable) outcome."""
-    cm = _CMTally(field, face_budget, lattice_budget)
+    cm = _CMTally(limits)
     findings = []
     count = 0
     for g in corpus:
@@ -429,18 +410,16 @@ class DepthEqualityRecord:
     equal: bool | None     # None = indeterminate
 
 
-def depth_equality_check(g, v, field=QQ, budget=DEFAULT_LATTICE_BUDGET,
-                         face_budget=DEFAULT_FACE_BUDGET):
+def depth_equality_check(g, v, limits=Limits()):
     """depth(S/J_G) versus depth of the two whiskered sides minus four."""
-    return _depth_equality(depth_JG(g, field, budget, face_budget),
-                           whiskered_sides(g, v), field, budget, face_budget)
+    return _depth_equality(depth_JG(g, limits), whiskered_sides(g, v),
+                           limits)
 
 
-def _depth_equality(depth_g, sides, field, budget, face_budget):
+def _depth_equality(depth_g, sides, limits):
     """The record for depth(S/J_G) given as ``depth_g``, and the pair of
     whiskered sides of one split of G."""
-    parts = [depth_g] + [depth_JG(x, field, budget, face_budget)
-                         for x in sides]
+    parts = [depth_g] + [depth_JG(x, limits) for x in sides]
     if any(p.indeterminate for p in parts):
         return DepthEqualityRecord(None, None, None)
     lhs = parts[0].depth
@@ -486,9 +465,7 @@ def depth_question_filter(g, v):
     )
 
 
-def verify_depth_equality(corpus, field=QQ, corpus_name="", *,
-                          face_budget=DEFAULT_FACE_BUDGET,
-                          lattice_budget=DEFAULT_LATTICE_BUDGET):
+def verify_depth_equality(corpus, limits=Limits(), corpus_name=""):
     """Survey the additive depth formula at every cut vertex. The equality
     is known to fail in general, so inequalities are findings, not
     violations; indeterminate (budget) outcomes are counted apart."""
@@ -503,11 +480,10 @@ def verify_depth_equality(corpus, field=QQ, corpus_name="", *,
         if not splits:
             continue
         g6 = emit_graph6(g)
-        depth_g = depth_JG(g, field, lattice_budget, face_budget)
+        depth_g = depth_JG(g, limits)
         for v, dec in splits:
             count += 1
-            rec = _depth_equality(depth_g, _whiskered(dec), field,
-                                  lattice_budget, face_budget)
+            rec = _depth_equality(depth_g, _whiskered(dec), limits)
             if rec.equal is None:
                 indeterminate += 1
             elif not rec.equal:

@@ -20,7 +20,8 @@ from beilab.corpus import connected_graphs, random_connected_graph
 from beilab.cutsets import is_unmixed
 from beilab.graphs import (complete_graph, cut_vertices, cycle_graph,
                            emit_graph6, glue_at, path_graph)
-from beilab.homology import QQ, brute_depth_oracle, hochster_depth, reisner_cm
+from beilab.homology import (QQ, Limits, brute_depth_oracle, hochster_depth,
+                             reisner_cm)
 from beilab.monomials import stanley_reisner
 import beilab.lab as lab
 
@@ -55,12 +56,12 @@ def test_criterion_03_depth_engine_soundness(corpus6):
     bad = []
     for g in corpus6:
         i = initial_ideal(g)
-        h = hochster_depth(i, QQ)
+        h = hochster_depth(i, Limits(QQ))
         b = brute_depth_oracle(i, QQ)
         if (h.depth, h.pd) != (b.depth, b.pd):
             bad.append((emit_graph6(g), "depth", h.depth, b.depth))
             continue
-        cm = reisner_cm(stanley_reisner(i), QQ).is_cm
+        cm = reisner_cm(stanley_reisner(i), Limits(QQ)).is_cm
         dim = 2 * g.n - min(p.size() for p in ass_initial(g))
         if cm != (h.depth == dim):
             bad.append((emit_graph6(g), "reisner-vs-depth", cm, h.depth, dim))

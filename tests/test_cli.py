@@ -1,5 +1,6 @@
 import io
 import json
+import pathlib
 import resource
 import subprocess
 import sys
@@ -9,6 +10,8 @@ import pytest
 from beilab import cli
 from beilab.graphs import GraphParseError, emit_graph6, path_graph
 from conftest import fig_text
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def run_cli(argv, stdin=""):
@@ -158,6 +161,35 @@ def test_verify_honours_budgets():
     assert json.loads(out)["indeterminate"] >= 1
 
 
+@pytest.mark.parametrize("flags, env", [
+    (["--lattice-budget", "1", "--face-budget", "1"], {}),
+    ([], {"BEI_LATTICE_BUDGET": "1", "BEI_FACE_BUDGET": "1"}),
+], ids=["flags", "env"])
+def test_analyze_honours_both_budgets(monkeypatch, flags, env):
+    # a budget-limited report is its golden line with the depth withheld,
+    # and the CM verdict withheld too unless a filter decided it
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    args = cli.build_parser().parse_args(
+        ["analyze", str(DATA / "connected_upto6.g6"), *flags])
+    buf = io.StringIO()
+    assert cli.cmd_analyze(args, out=buf) == 2
+    lines = buf.getvalue().splitlines()
+    golden = (DATA / "analyze_upto6.jsonl").read_text().splitlines()
+    assert len(lines) == len(golden)
+    limited = 0
+    for line, gold in zip(lines, golden):
+        if line == gold:
+            continue
+        limited += 1
+        got, want = json.loads(line), json.loads(gold)
+        want.update(depth=None, budget="exceeded")
+        if got["cm"] is None:
+            want["cm"] = want["witnesses"]["cm"] = None
+        assert got == want
+    assert limited >= 1
+
+
 @pytest.mark.parametrize("violations,indeterminate,findings,code", [
     ((("Bg", "x"),), 1, (("Bg", "y"),), 1),
     ((), 1, (("Bg", "y"),), 2),
@@ -167,7 +199,7 @@ def test_verify_honours_budgets():
 def test_verify_exit_code_precedence(monkeypatch, violations, indeterminate,
                                      findings, code):
     from beilab.lab import TheoremVerdict
-    monkeypatch.setitem(cli.VERIFIERS, "fake", lambda graphs, field, **kw:
+    monkeypatch.setitem(cli.VERIFIERS, "fake", lambda graphs, limits, **kw:
                         TheoremVerdict("fake", "-", len(graphs), violations,
                                        findings=findings,
                                        indeterminate=indeterminate))
@@ -235,6 +267,15 @@ def test_flag_overrides_env(monkeypatch):
     ([], {"BEI_FACE_BUDGET": "abc"}),
     (["--face-budget", "abc"], {}),
     (["--field", "1000000000000000003"], {}),
+    (["--threads", "0"], {}),
+    (["--threads", "-3"], {}),
+    ([], {"BEI_THREADS": "0"}),
+    (["--face-budget", "-1"], {}),
+    (["--lattice-budget", "-5"], {}),
+    (["--max-n", "-1"], {}),
+    ([], {"BEI_FACE_BUDGET": "-1"}),
+    ([], {"BEI_LATTICE_BUDGET": "-5"}),
+    ([], {"BEI_MAX_N": "-1"}),
 ])
 def test_bad_flag_or_env_value_is_a_parse_error(monkeypatch, flags, env):
     for name, value in env.items():
@@ -242,6 +283,14 @@ def test_bad_flag_or_env_value_is_a_parse_error(monkeypatch, flags, env):
     code, out, err = run_cli(["analyze", "-", *flags], stdin="Bg\n")
     assert code == 1 and out == ""
     assert "error" in err and "Traceback" not in err
+
+
+def test_zero_budgets_and_max_n_are_valid():
+    # a zero budget decides by the squeeze's bounds alone
+    args = cli.build_parser().parse_args(
+        ["analyze", "-", "--face-budget", "0", "--lattice-budget", "0",
+         "--max-n", "0"])
+    assert (args.face_budget, args.lattice_budget, args.max_n) == (0, 0, 0)
 
 
 @pytest.mark.parametrize("command", [["analyze"], ["verify", "girth"],

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from beilab.binomial_edge import initial_ideal
 from beilab.graphs import (complete_graph, cycle_graph, parse_graph6,
                            path_graph)
-from beilab.homology import (BudgetExceeded, FieldSpec, QQ,
+from beilab.homology import (BudgetExceeded, FieldSpec, Limits, QQ,
                              _depth_lower_bound, _lcm_lattice,
                              _rank, brute_depth_oracle, hochster_depth,
                              reduced_ranks_from_facets, reisner_cm)
@@ -156,7 +156,7 @@ def test_depth_brute_oracle_uses_reisner_free_path():
     assert (h.depth, h.pd) == (b.depth, b.pd)
 
 
-def depth_splitting_check(ideal, var_bits, field=QQ):
+def depth_splitting_check(ideal, var_bits, limits=Limits()):
     """The depth-splitting disjunction over a list of variables.
 
     depth(R/I) must equal depth(R/<I, x_1..x_k>) or some
@@ -166,16 +166,16 @@ def depth_splitting_check(ideal, var_bits, field=QQ):
     """
     if not var_bits:
         return True
-    d = hochster_depth(ideal, field).depth
+    d = hochster_depth(ideal, limits).depth
     cur = ideal
     candidates = []
     for b in var_bits:
         q = colon(cur, 1 << b)
         if not q.is_unit():
-            candidates.append(hochster_depth(q, field).depth)
+            candidates.append(hochster_depth(q, limits).depth)
         cur = add_variables(cur, [b])
     if not cur.is_unit():
-        candidates.append(hochster_depth(cur, field).depth)
+        candidates.append(hochster_depth(cur, limits).depth)
     return d in candidates
 
 
@@ -194,18 +194,20 @@ def test_depth_splitting_consistency():
 def test_budget_indeterminate():
     # C5's bounds meet before any scan, so a lattice budget of 2 never trips
     i = initial_ideal(cycle_graph(5))
-    r, brute = hochster_depth(i, budget=2), brute_depth_oracle(i)
+    r = hochster_depth(i, Limits(lattice_budget=2))
+    brute = brute_depth_oracle(i)
     assert not r.indeterminate and (r.depth, r.pd) == (brute.depth, brute.pd)
     # K_2 joined to three independent vertices: its depth-lemma bound
     # stays at 5 up to topk 4, below n - pd_lb = 6, so it must scan, and
     # its lattice exceeds the budget
     join = initial_ideal(parse_graph6("D}o"))
-    r, brute = hochster_depth(join, budget=2), brute_depth_oracle(join)
+    r = hochster_depth(join, Limits(lattice_budget=2))
+    brute = brute_depth_oracle(join)
     assert r.indeterminate and r.depth is None
     lo, hi = r.depth_bounds
     assert lo <= brute.depth <= hi
     assert (lo, hi, brute.depth) == (5, 6, 5)
-    c = reisner_cm(stanley_reisner(i), face_budget=2)
+    c = reisner_cm(stanley_reisner(i), Limits(face_budget=2))
     assert c.indeterminate and c.is_cm is None
 
 
@@ -242,11 +244,11 @@ def test_budgets_yield_exact_depth_or_certified_interval():
         budgets = [1 << k for k in range(size.bit_length()) if 1 << k < size]
         for budget in budgets + [size]:
             for face_budget in (1, 10 ** 6):
-                r = hochster_depth(i, budget=budget, face_budget=face_budget)
+                r = hochster_depth(i, Limits(QQ, budget, face_budget))
                 if r.indeterminate:
                     lo, hi = r.depth_bounds
                     assert lo <= brute.depth <= hi
-                    assert lo >= _depth_lower_bound(nv, i.gens, 1)
+                    assert lo == _depth_lower_bound(nv, i.gens, 4)
                 else:
                     assert (r.depth, r.pd) == (brute.depth, brute.pd)
 

@@ -8,13 +8,13 @@ from beilab.binomial_edge import initial_ideal, setup_identities
 from beilab.graphs import (complete_graph, cycle_graph, decompose_at,
                            delete_vertices, emit_graph6, glue_at,
                            parse_edge_list, parse_graph6, path_graph)
-from beilab.homology import FieldSpec, QQ
+from beilab.homology import FieldSpec, Limits, QQ
 import beilab.lab as lab
 
 DATA = pathlib.Path(__file__).parent / "data"
 
 
-def glue_pairs_cm(g, v, h, w, field=QQ):
+def glue_pairs_cm(g, v, h, w, limits=Limits()):
     """The four cross-gluings of the sides of (g, v) and (h, w), as a list
     of (label, graph, cm), with cm None when indeterminate."""
     gsides, hsides = decompose_at(g, v).sides, decompose_at(h, w).sides
@@ -22,15 +22,15 @@ def glue_pairs_cm(g, v, h, w, field=QQ):
     for i, (gi, gv) in enumerate(gsides, start=1):
         for j, (hj, hv) in enumerate(hsides, start=1):
             f = glue_at(gi, gv, hj, hv)
-            out.append((f"F{i}{j}", f, lab.cm_check(f, field).is_cm))
+            out.append((f"F{i}{j}", f, lab.cm_check(f, limits).is_cm))
     return out
 
 
-def verify_identification(corpus_pairs, field=QQ, corpus_name=""):
+def verify_identification(corpus_pairs, limits=Limits(), corpus_name=""):
     """Composite gluing corollary: for CM graphs G, H with cut vertices v, w
     whose deletions are unmixed, every cross-gluing F_ij is CM (conditional,
     so a failure is hypothesis-relevant)."""
-    cm = lab._CMTally(field)
+    cm = lab._CMTally(limits)
     hypo = []
     count = 0
     for (g, v), (h, w) in corpus_pairs:
@@ -42,7 +42,7 @@ def verify_identification(corpus_pairs, field=QQ, corpus_name=""):
                 and lab.cs.is_unmixed(dhw).unmixed):
             continue
         count += 1
-        for label, f, is_cm in glue_pairs_cm(g, v, h, w, field):
+        for label, f, is_cm in glue_pairs_cm(g, v, h, w, limits):
             cm.indeterminate += is_cm is None
             if is_cm is False:
                 hypo.append((emit_graph6(f), f"{label} not CM"))
@@ -154,11 +154,11 @@ def test_dim_matches_depth_for_cm_graphs():
 
 
 def test_finite_field_cm_agrees_on_small_graphs():
-    gf = FieldSpec(32003)
+    gf = Limits(FieldSpec(32003))
     for g in [path_graph(4), cycle_graph(4), cycle_graph(5),
               complete_graph(4)]:
         assert lab.cm_check(g, gf, use_filters=False).is_cm == \
-            lab.cm_check(g, QQ, use_filters=False).is_cm
+            lab.cm_check(g, Limits(QQ), use_filters=False).is_cm
 
 
 def test_depth_question_filter(fig):
@@ -264,7 +264,8 @@ def test_depth_witness_when_not_cm():
 
 def test_face_budget_never_flips_cm(corpus5):
     for g in corpus5:
-        budgeted = lab.cm_check(g, face_budget=1, use_filters=False).is_cm
+        budgeted = lab.cm_check(g, Limits(face_budget=1),
+                                use_filters=False).is_cm
         assert budgeted in (None, lab.cm_check(g, use_filters=False).is_cm)
 
 
@@ -349,5 +350,6 @@ def test_verify_matches_golden_verdicts(corpus6):
     assert len(golden) == len(lab.VERIFIERS) == 7
     for theorem, line in zip(sorted(lab.VERIFIERS), golden):
         verdict = lab.VERIFIERS[theorem](
-            corpus6, QQ, corpus_name="tests/data/connected_upto6.g6")
+            corpus6, Limits(QQ),
+            corpus_name="tests/data/connected_upto6.g6")
         assert verdict.to_json() == line
