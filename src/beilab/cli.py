@@ -5,9 +5,10 @@ Subcommands:
   verify         run a theorem verifier over a graph corpus
   initial-ideal  print the square-free initial ideal generators
 
-Exit codes: 0 success, 1 parse or usage error or violation, 2
-indeterminate (budget or cap hit), 3 hypothesis-relevant findings only, 64
-unknown theorem id; a violation beats indeterminate, which beats findings.
+Exit codes: 0 success, 1 parse or usage error, violation, or standard
+output closed early, 2 indeterminate (budget or cap hit), 3
+hypothesis-relevant findings only, 64 unknown theorem id; a violation
+beats indeterminate, which beats findings.
 """
 
 from __future__ import annotations
@@ -30,14 +31,6 @@ EXIT_PARSE = 1
 EXIT_INDETERMINATE = 2
 EXIT_HYPOTHESIS = 3
 EXIT_UNKNOWN_THEOREM = 64
-
-_ENV_PREFIX = "BEI_"
-
-
-def _env_default(name, fallback):
-    """The BEI_<name> value as its raw string, which the flag's own type
-    converts, or the built-in fallback."""
-    return os.environ.get(_ENV_PREFIX + name, fallback)
 
 
 def _characteristic(text):
@@ -63,38 +56,44 @@ def _at_least(low):
     return count
 
 
+# each flag's type, built-in default and help; the BEI_* variable of its
+# name (BEI_FACE_BUDGET for --face-budget) overrides the default
+_FLAGS = {
+    "--face-budget": (_at_least(0), DEFAULT_FACE_BUDGET, None),
+    "--lattice-budget": (_at_least(0), DEFAULT_LATTICE_BUDGET, None),
+    "--max-n": (_at_least(0), 16, None),
+    "--field": (_characteristic, 0, "characteristic: 0 or a prime"),
+    "--threads": (_at_least(1), 1, None),
+}
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="beilab",
         description="Combinatorial Cohen-Macaulayness of binomial edge ideals.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--face-budget", type=_at_least(0),
-                        default=_env_default("FACE_BUDGET", DEFAULT_FACE_BUDGET))
-        sp.add_argument("--lattice-budget", type=_at_least(0),
-                        default=_env_default("LATTICE_BUDGET",
-                                             DEFAULT_LATTICE_BUDGET))
-        sp.add_argument("--max-n", type=_at_least(0),
-                        default=_env_default("MAX_N", 16))
-        sp.add_argument("--field", type=_characteristic,
-                        default=_env_default("FIELD", 0),
-                        help="characteristic: 0 or a prime")
-        sp.add_argument("--threads", type=_at_least(1),
-                        default=_env_default("THREADS", 1))
+    def command(name, run, summary, positionals, flags):
+        sp = sub.add_parser(name, help=summary)
+        for arg, arg_help in positionals:
+            sp.add_argument(arg, help=arg_help)
+        for flag in flags:
+            kind, fallback, flag_help = _FLAGS[flag]
+            # a raw BEI_* string goes through the flag's own type
+            env = "BEI_" + flag[2:].upper().replace("-", "_")
+            sp.add_argument(flag, type=kind, help=flag_help,
+                            default=os.environ.get(env, fallback))
+        sp.set_defaults(run=run)
 
-    a = sub.add_parser("analyze", help="per-graph JSON reports")
-    a.add_argument("input", help="file path or - for stdin")
-    common(a)
-
-    v = sub.add_parser("verify", help="run a theorem verifier over a corpus")
-    v.add_argument("theorem", help="|".join(sorted(VERIFIERS)))
-    v.add_argument("corpus", help="file path or - for stdin")
-    common(v)
-
-    i = sub.add_parser("initial-ideal", help="print initial ideal generators")
-    i.add_argument("input", help="file path or - for stdin")
-    common(i)
+    source = "file path or - for stdin"
+    command("analyze", cmd_analyze, "per-graph JSON reports",
+            [("input", source)], list(_FLAGS))
+    command("verify", cmd_verify, "run a theorem verifier over a corpus",
+            [("theorem", "|".join(sorted(VERIFIERS))), ("corpus", source)],
+            ["--face-budget", "--lattice-budget", "--max-n", "--field"])
+    command("initial-ideal", cmd_initial_ideal,
+            "print initial ideal generators", [("input", source)],
+            ["--max-n"])
     return p
 
 
@@ -104,14 +103,20 @@ def _limits(args):
                   args.face_budget)
 
 
-def _read_text(path):
+def _read_graphs(path):
+    """The graphs of a file, or of stdin for "-", or None once the reason
+    they cannot be read or parsed is printed on stderr."""
     try:
         if path == "-":
-            return sys.stdin.read()
+            return parse_input(sys.stdin.read())
         with open(path, "r", encoding="ascii") as fh:
-            return fh.read()
+            return parse_input(fh.read())
     except UnicodeDecodeError as e:
-        raise GraphParseError(f"byte {e.start}: not ASCII text") from None
+        error = f"byte {e.start}: not ASCII text"
+    except (GraphParseError, OSError) as e:
+        error = e
+    print(f"error: {error}", file=sys.stderr)
+    return None
 
 
 def _looks_graph6(line):
@@ -163,10 +168,8 @@ def _analyze_one(g, limits, max_n):
 
 def cmd_analyze(args, out=sys.stdout):
     limits = _limits(args)
-    try:
-        graphs = parse_input(_read_text(args.input))
-    except (GraphParseError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    graphs = _read_graphs(args.input)
+    if graphs is None:
         return EXIT_PARSE
     # output order matches input order regardless of completion order
     with ThreadPoolExecutor(max_workers=args.threads) as pool:
@@ -185,10 +188,8 @@ def cmd_verify(args, out=sys.stdout):
         print(f"error: unknown theorem id {args.theorem!r}; "
               f"known: {', '.join(sorted(VERIFIERS))}", file=sys.stderr)
         return EXIT_UNKNOWN_THEOREM
-    try:
-        graphs = parse_input(_read_text(args.corpus))
-    except (GraphParseError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    graphs = _read_graphs(args.corpus)
+    if graphs is None:
         return EXIT_PARSE
     within = [g for g in graphs if not _cap_exceeded(g, args.max_n)]
     verdict = VERIFIERS[args.theorem](within, _limits(args),
@@ -206,10 +207,8 @@ def cmd_verify(args, out=sys.stdout):
 
 
 def cmd_initial_ideal(args, out=sys.stdout):
-    try:
-        graphs = parse_input(_read_text(args.input))
-    except (GraphParseError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    graphs = _read_graphs(args.input)
+    if graphs is None:
         return EXIT_PARSE
     status = EXIT_OK
     for k, g in enumerate(graphs):
@@ -232,11 +231,16 @@ def main(argv=None):
     except SystemExit as stop:
         # argparse exits 2 on a usage error, and 2 means indeterminate here
         return EXIT_PARSE if stop.code == 2 else stop.code
-    if args.command == "analyze":
-        return cmd_analyze(args)
-    if args.command == "verify":
-        return cmd_verify(args)
-    return cmd_initial_ideal(args)
+    try:
+        # the stdout of this call, which the flush below must reach
+        status = args.run(args, out=sys.stdout)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # stdout was closed early: point it at devnull, so that the
+        # interpreter's own flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -52,19 +52,16 @@ class Limits:
 @dataclass(frozen=True)
 class CMCertificate:
     is_cm: bool | None             # None = indeterminate
-    field: FieldSpec
     # reisner_cm: (face mask, degree i); lab: ("unmixedness", T, c(T)),
     # ("accessibility", T) or ("depth", depth, dim)
     witness: tuple | None = None
-    indeterminate: bool = False
 
 
 @dataclass(frozen=True)
 class DepthResult:
-    depth: int
-    pd: int
-    witness: tuple | None          # (W mask, degree i) attaining pd
-    indeterminate: bool = False
+    depth: int | None              # None = indeterminate
+    # (W mask, degree i) attaining pd = nvars - depth
+    witness: tuple | None = None
     # when indeterminate: the squeeze's certified (depth_lb, n - pd_lb)
     depth_bounds: tuple | None = None
 
@@ -235,7 +232,7 @@ def reisner_cm(cx, limits=Limits()):
     """
     field = limits.field
     if cx.is_void() or cx.facets == (0,):
-        return CMCertificate(True, field)
+        return CMCertificate(True)
     try:
         _budget_check(cx.facets, limits.face_budget)
         faces = sorted(cx.faces(), key=lambda f: (f.bit_count(), f))
@@ -246,10 +243,10 @@ def reisner_cm(cx, limits=Limits()):
                 continue  # dimension <= 0 complexes are always CM
             ranks = reduced_ranks_from_facets(link, field, dim_link - 1)
             if ranks:
-                return CMCertificate(False, field, witness=(sigma, min(ranks)))
+                return CMCertificate(False, witness=(sigma, min(ranks)))
     except BudgetExceeded:
-        return CMCertificate(None, field, indeterminate=True)
-    return CMCertificate(True, field)
+        return CMCertificate(None)
+    return CMCertificate(True)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +353,7 @@ def hochster_depth(ideal, limits=Limits()):
         raise ValueError("unit ideal: the quotient ring is zero")
     n = ideal.nvars
     if ideal.is_zero():
-        return DepthResult(depth=n, pd=0, witness=None)
+        return DepthResult(depth=n)
     field, face_budget = limits.field, limits.face_budget
     cx = mono.stanley_reisner(ideal)
     # pd >= big height = max codim of an associated prime, always
@@ -406,11 +403,10 @@ def hochster_depth(ideal, limits=Limits()):
             i += 1
     except BudgetExceeded:
         if n - pd_lb > depth_lb:
-            return DepthResult(depth=None, pd=None, witness=witness,
-                               indeterminate=True,
+            return DepthResult(depth=None, witness=witness,
                                depth_bounds=(depth_lb, n - pd_lb))
     # the bounds have met, or the scan is complete
-    return DepthResult(depth=n - pd_lb, pd=pd_lb, witness=witness)
+    return DepthResult(depth=n - pd_lb, witness=witness)
 
 
 def brute_depth_oracle(ideal, field=QQ):
@@ -427,7 +423,7 @@ def brute_depth_oracle(ideal, field=QQ):
         raise ValueError("unit ideal: the quotient ring is zero")
     n = ideal.nvars
     if ideal.is_zero():
-        return DepthResult(depth=n, pd=0, witness=None)
+        return DepthResult(depth=n)
     cx = mono.stanley_reisner(ideal)
     pd = 0
     witness = None
@@ -444,5 +440,5 @@ def brute_depth_oracle(ideal, field=QQ):
             if size - i - 1 > pd:
                 pd = size - i - 1
                 witness = (w, i)
-    return DepthResult(depth=n - pd, pd=pd, witness=witness)
+    return DepthResult(depth=n - pd, witness=witness)
 

@@ -78,39 +78,35 @@ class TheoremVerdict:
         }, sort_keys=True, separators=(",", ":"))
 
 
-def _cm_certificate(field, unm, acc, depth):
-    """The one CM decision: the filters (skipped when ``acc`` is None),
-    then depth == dim, with ``depth()`` the DepthResult of S/in(J_G)."""
-    if acc is not None:
-        if not unm.unmixed:
-            w = unm.witness
-            return CMCertificate(False, field,
-                                 witness=("unmixedness", tuple(sorted(w.vertices)), w.c))
-        if not acc.accessible:
-            return CMCertificate(False, field,
-                                 witness=("accessibility",
-                                          tuple(sorted(acc.witness.vertices))))
+def _cm_certificate(unm, acc, depth):
+    """The one CM decision: the filters, then depth == dim, with
+    ``depth()`` the DepthResult of S/in(J_G)."""
+    if not unm.unmixed:
+        w = unm.witness
+        return CMCertificate(False, witness=("unmixedness",
+                                             tuple(sorted(w.vertices)), w.c))
+    if not acc.accessible:
+        return CMCertificate(False, witness=(
+            "accessibility", tuple(sorted(acc.witness.vertices))))
     dr = depth()
-    if dr.indeterminate:
-        return CMCertificate(None, field, indeterminate=True)
+    if dr.depth is None:
+        return CMCertificate(None)
     if dr.depth == unm.dim:
-        return CMCertificate(True, field)
-    return CMCertificate(False, field, witness=("depth", dr.depth, unm.dim))
+        return CMCertificate(True)
+    return CMCertificate(False, witness=("depth", dr.depth, unm.dim))
 
 
-def cm_check(g, limits=Limits(), use_filters=True):
+def cm_check(g, limits=Limits()):
     """Cohen-Macaulayness of the binomial edge ideal: depth == dim, where
     in(J_G) is square-free, so S/J_G and S/in(J_G) share depth and
     dimension (Conca-Varbaro), and the depth is the Hochster squeeze's.
 
     Pre-filters: not unmixed => not CM (cutset witness); not accessible =>
-    not CM (known necessity; disable with use_filters=False to force the
-    depth route). Otherwise not CM has the witness ("depth", depth, dim),
-    and a depth out of either budget of ``limits`` gives is_cm None.
+    not CM (known necessity). Otherwise not CM has the witness ("depth",
+    depth, dim), and a depth out of either budget of ``limits`` gives
+    is_cm None.
     """
-    unm = cs.is_unmixed(g)
-    acc = cs.is_accessible(g) if use_filters else None
-    return _cm_certificate(limits.field, unm, acc,
+    return _cm_certificate(cs.is_unmixed(g), cs.is_accessible(g),
                            lambda: depth_JG(g, limits))
 
 
@@ -130,7 +126,7 @@ def analyze(g, limits=Limits()):
     acc = cs.is_accessible(g)
     # one depth per graph, shared by the CM verdict and the report
     dr = depth_JG(g, limits)
-    cert = _cm_certificate(limits.field, unm, acc, lambda: dr)
+    cert = _cm_certificate(unm, acc, lambda: dr)
     bd = blocks(g)
     return AnalysisReport(
         graph6=emit_graph6(g),
@@ -148,7 +144,7 @@ def analyze(g, limits=Limits()):
         cm=cert.is_cm,
         cm_witness=cert.witness,
         field_char=limits.field.characteristic,
-        depth=None if dr.indeterminate else dr.depth,
+        depth=dr.depth,
         dim=unm.dim)
 
 
@@ -420,7 +416,7 @@ def _depth_equality(depth_g, sides, limits):
     """The record for depth(S/J_G) given as ``depth_g``, and the pair of
     whiskered sides of one split of G."""
     parts = [depth_g] + [depth_JG(x, limits) for x in sides]
-    if any(p.indeterminate for p in parts):
+    if any(p.depth is None for p in parts):
         return DepthEqualityRecord(None, None, None)
     lhs = parts[0].depth
     rhs = parts[1].depth + parts[2].depth - 4

@@ -1,5 +1,7 @@
+import contextlib
 import io
 import json
+import os
 import pathlib
 import resource
 import subprocess
@@ -283,6 +285,71 @@ def test_bad_flag_or_env_value_is_a_parse_error(monkeypatch, flags, env):
     code, out, err = run_cli(["analyze", "-", *flags], stdin="Bg\n")
     assert code == 1 and out == ""
     assert "error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "girth", "-", "--threads", "2"],
+    ["initial-ideal", "-", "--field", "7"],
+    ["initial-ideal", "-", "--face-budget", "1"],
+    ["initial-ideal", "-", "--lattice-budget", "1"],
+    ["initial-ideal", "-", "--threads", "2"],
+])
+def test_flag_a_subcommand_does_not_read_is_rejected(argv):
+    code, out, err = run_cli(argv, stdin="Bg\n")
+    assert code == 1 and out == ""
+    assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("argv, env, golden", [
+    (["initial-ideal"], {"BEI_THREADS": "0"}, "initial_ideal_upto6.txt"),
+    (["initial-ideal"], {"BEI_FIELD": "4"}, "initial_ideal_upto6.txt"),
+    (["verify", "girth"], {"BEI_THREADS": "0"}, "verify_upto6.jsonl"),
+])
+def test_variable_of_a_flag_a_subcommand_lacks_is_ignored(monkeypatch, argv,
+                                                          env, golden):
+    # each subcommand reads the BEI_* variables of its own flags only; the
+    # command's process inherits them
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    # the golden verdicts name the corpus by its path from the repository
+    monkeypatch.chdir(DATA.parent.parent)
+    code, out, err = run_cli([*argv, "tests/data/connected_upto6.g6"])
+    assert code == 0, err
+    want = (DATA / golden).read_text()
+    if argv[0] == "verify":
+        # verify_upto6.jsonl holds one verdict per theorem, in name order
+        want = next(ln for ln in want.splitlines(keepends=True)
+                    if json.loads(ln)["theorem"] == argv[1])
+    assert out == want
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["verify", "girth"],
+                                     ["initial-ideal"]],
+                         ids=["analyze", "verify", "initial-ideal"])
+def test_closed_stdout_exits_1_without_traceback(command):
+    # the read end of stdout's pipe is closed before the command starts,
+    # as when `beilab analyze ... | head -1` has stopped reading
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "beilab.cli", *command,
+             str(DATA / "connected_upto6.g6")],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=600)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+
+
+def test_main_writes_to_the_current_stdout(monkeypatch):
+    # main writes where sys.stdout points when it is called, not where it
+    # pointed when the module was imported
+    monkeypatch.setattr(sys, "stdin", io.StringIO("3 2\n1 2\n2 3\n"))
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert cli.main(["initial-ideal", "-"]) == 0
+    assert buf.getvalue().splitlines() == ["x1*y2", "x2*y3"]
 
 
 def test_zero_budgets_and_max_n_are_valid():

@@ -153,7 +153,7 @@ def test_depth_brute_oracle_uses_reisner_free_path():
     i = initial_ideal(cycle_graph(4))
     h = hochster_depth(i)
     b = brute_depth_oracle(i)
-    assert (h.depth, h.pd) == (b.depth, b.pd)
+    assert h.depth == b.depth
 
 
 def depth_splitting_check(ideal, var_bits, limits=Limits()):
@@ -196,19 +196,19 @@ def test_budget_indeterminate():
     i = initial_ideal(cycle_graph(5))
     r = hochster_depth(i, Limits(lattice_budget=2))
     brute = brute_depth_oracle(i)
-    assert not r.indeterminate and (r.depth, r.pd) == (brute.depth, brute.pd)
+    assert r.depth == brute.depth
     # K_2 joined to three independent vertices: its depth-lemma bound
     # stays at 5 up to topk 4, below n - pd_lb = 6, so it must scan, and
     # its lattice exceeds the budget
     join = initial_ideal(parse_graph6("D}o"))
     r = hochster_depth(join, Limits(lattice_budget=2))
     brute = brute_depth_oracle(join)
-    assert r.indeterminate and r.depth is None
+    assert r.depth is None
     lo, hi = r.depth_bounds
     assert lo <= brute.depth <= hi
     assert (lo, hi, brute.depth) == (5, 6, 5)
     c = reisner_cm(stanley_reisner(i), Limits(face_budget=2))
-    assert c.indeterminate and c.is_cm is None
+    assert c.is_cm is None and c.witness is None
 
 
 def test_lcm_lattice_is_union_closure_with_exact_budget():
@@ -245,12 +245,13 @@ def test_budgets_yield_exact_depth_or_certified_interval():
         for budget in budgets + [size]:
             for face_budget in (1, 10 ** 6):
                 r = hochster_depth(i, Limits(QQ, budget, face_budget))
-                if r.indeterminate:
+                assert (r.depth is None) == (r.depth_bounds is not None)
+                if r.depth is None:
                     lo, hi = r.depth_bounds
                     assert lo <= brute.depth <= hi
                     assert lo == _depth_lower_bound(nv, i.gens, 4)
                 else:
-                    assert (r.depth, r.pd) == (brute.depth, brute.pd)
+                    assert r.depth == brute.depth
 
 
 def test_hochster_witness_certifies_pd():
@@ -263,7 +264,6 @@ def test_hochster_witness_certifies_pd():
         i = MonomialIdeal.make(nv, [sum(1 << b for b in rng.sample(range(nv), 2))
                                     for _ in range(rng.randint(2, 12))])
         r = hochster_depth(i)
-        assert not r.indeterminate
         assert r.depth == brute_depth_oracle(i).depth
         if r.witness is None:
             continue
@@ -271,7 +271,7 @@ def test_hochster_witness_certifies_pd():
         assert w in _lcm_lattice(i, 1 << nv)
         faces = {f & w for f in stanley_reisner(i).facets}
         assert reduced_ranks_from_facets(faces, QQ).get(deg, 0) > 0
-        assert r.pd == bin(w).count("1") - deg - 1
+        assert nv - r.depth == bin(w).count("1") - deg - 1
         checked += 1
     assert checked >= 10
 
