@@ -1,11 +1,13 @@
 """Exact reduced simplicial homology, the Reisner check, and depth.
 
-Homology ranks are computed from boundary-matrix ranks by one sparse exact
-elimination: over the rationals with primitive integer rows, over GF(p)
-modulo p. Depth of a square-free monomial ideal comes from projective
-dimension, scanning reduced homology of induced subcomplexes over the
-union-closure of the generator supports (the lcm lattice), where all
-nonzero Betti degrees live.
+Each complex is first reduced to its strong core by deleting dominated
+vertices, which keeps its homotopy type; homology ranks are then computed
+from the core's boundary-matrix ranks by one sparse exact elimination:
+over the rationals with primitive integer rows, over GF(p) modulo p.
+Depth of a square-free monomial ideal comes from projective dimension,
+scanning reduced homology of induced subcomplexes over the union-closure
+of the generator supports (the lcm lattice), where all nonzero Betti
+degrees live.
 """
 
 from __future__ import annotations
@@ -43,7 +45,9 @@ QQ = FieldSpec(0)
 class Limits:
     """The field of one depth computation and the two budgets that bound
     its squeeze: lattice_budget the size of the lcm lattice, face_budget
-    the faces its homology enumerates (also the Reisner face estimate)."""
+    the faces its homology would enumerate on each restricted complex,
+    charged before the complex is reduced to its strong core (also the
+    Reisner face estimate)."""
     field: FieldSpec = QQ
     lattice_budget: int = DEFAULT_LATTICE_BUDGET
     face_budget: int = DEFAULT_FACE_BUDGET
@@ -161,6 +165,37 @@ def _is_cone(facets):
     return bool(common)
 
 
+def _strong_core(facets):
+    """Facets left after deleting dominated vertices one at a time.
+
+    v is dominated when every facet holding it also holds one other vertex
+    u: its link is then a cone over u, so deleting v keeps the homotopy
+    type and every reduced homology group, over any field. The result is
+    the strong core (Barmak and Minian, Discrete Comput. Geom. 2012), or a
+    single facet, a simplex, when the complex is strong collapsible.
+    Facets that are not maximal can only hide a domination, never fake one.
+    """
+    verts = 0
+    for f in facets:
+        verts |= f
+    while len(facets) > 1:
+        b = verts
+        while b:
+            v = b & -b
+            common = verts
+            for f in facets:
+                if f & v:
+                    common &= f
+            if common != v:
+                break
+            b &= b - 1
+        else:
+            break       # no vertex is dominated
+        verts &= ~v
+        facets = mono.max_antichain(f & ~v for f in facets)
+    return facets
+
+
 def _components(facets):
     """Number of connected components, merging facet masks that meet."""
     comps = []
@@ -183,9 +218,12 @@ def reduced_ranks_from_facets(facets, field, max_degree=None):
     for degrees up to max_degree, or all degrees when it is None.
 
     The facets need not form an antichain; zero masks add nothing. Degrees
-    -1 and 0 need no matrix: the rank of d_1 is |vertices| - |components|.
-    Higher degrees eliminate boundary matrices built from the faces with
-    at most max_degree + 2 vertices.
+    -1 and 0 need no matrix: they read the vertices and the components.
+    For higher degrees the complex is first reduced to its strong core,
+    which has the same homology; a core of one facet is contractible.
+    Otherwise boundary matrices are eliminated, built from the core's
+    faces with at most max_degree + 2 vertices; the rank of d_1 is
+    |core vertices| - |components|.
     """
     facets = tuple(sorted(set(facets)))
     top = max(f.bit_count() for f in facets) - 1 if facets else -2
@@ -202,12 +240,20 @@ def reduced_ranks_from_facets(facets, field, max_degree=None):
     ranks = {0: ncomps - 1} if ncomps > 1 and max_degree >= 0 else {}
     if max_degree <= 0 or _is_cone(facets):
         return ranks
+    facets = _strong_core(facets)
+    if len(facets) == 1:
+        return ranks
+    verts = 0
+    for f in facets:
+        verts |= f
     by_dim = _faces_by_dim(facets, max_degree + 2)
     r = verts.bit_count() - ncomps     # rank of d_k, for k = 1, 2, ...
     for k in range(1, max_degree + 1):
-        r_up = _boundary_rank(by_dim.get(k + 1), by_dim[k],
+        # the core can lack faces of some dimension
+        faces = by_dim.get(k, ())
+        r_up = _boundary_rank(by_dim.get(k + 1), faces,
                               field.characteristic)
-        h = len(by_dim[k]) - r - r_up
+        h = len(faces) - r - r_up
         if h:
             ranks[k] = h
         r = r_up
@@ -345,9 +391,12 @@ def hochster_depth(ideal, limits=Limits()):
     completed lattice scan is itself exact. The lattice is built, and
     charged to its budget, only when a scan runs; it is sorted by the
     total key (-|W|, W), so the witness is the first (W, i) in that
-    order. When either budget in ``limits`` runs out the
-    answer is still exact if the bounds have met, and otherwise the
-    certified interval is reported as indeterminate instead of a guess.
+    order. The face budget is charged on each restricted complex as it
+    stands, before reduced_ranks_from_facets collapses it to its strong
+    core, so the core never moves a budget-limited answer. When either
+    budget in ``limits`` runs out the answer is still exact if the bounds
+    have met, and otherwise the certified interval is reported as
+    indeterminate instead of a guess.
     """
     if ideal.is_unit():
         raise ValueError("unit ideal: the quotient ring is zero")

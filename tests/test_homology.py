@@ -10,11 +10,13 @@ from beilab.binomial_edge import initial_ideal
 from beilab.graphs import (complete_graph, cycle_graph, parse_graph6,
                            path_graph)
 from beilab.homology import (BudgetExceeded, FieldSpec, Limits, QQ,
-                             _depth_lower_bound, _lcm_lattice,
-                             _rank, brute_depth_oracle, hochster_depth,
+                             _boundary_rank, _depth_lower_bound,
+                             _lcm_lattice, _rank, _strong_core,
+                             brute_depth_oracle, hochster_depth,
                              reduced_ranks_from_facets, reisner_cm)
 from beilab.monomials import (MonomialIdeal, SimplicialComplex,
-                              add_variables, colon, stanley_reisner)
+                              add_variables, colon, max_antichain,
+                              stanley_reisner)
 
 
 GF2 = FieldSpec(2)
@@ -67,6 +69,7 @@ def test_homology_torus_triangulation():
             for i in range(7)]
     facets = [sum(1 << (v - 1) for v in t) for t in tri]
     cx = SimplicialComplex.make(7, facets)
+    assert _strong_core(cx.facets) == cx.facets     # no dominated vertex
     assert reduced_ranks_from_facets(cx.facets, QQ) == {1: 2, 2: 1}
 
 
@@ -77,8 +80,82 @@ def test_projective_plane_characteristic_dependence():
            (2, 4, 5), (2, 4, 6), (3, 4, 6), (3, 5, 6)]
     facets = [sum(1 << (v - 1) for v in t) for t in tri]
     cx = SimplicialComplex.make(6, facets)
+    assert _strong_core(cx.facets) == cx.facets     # no dominated vertex
     assert reduced_ranks_from_facets(cx.facets, QQ) == {}
     assert reduced_ranks_from_facets(cx.facets, GF2) == {1: 1, 2: 1}
+
+
+def test_strong_core_deletes_fins_and_collapses_cones():
+    # the hollow triangle {12, 13, 23} with the fin {234}: vertex 4 is
+    # dominated by 2, and the core is the hollow triangle
+    triangle = (0b0011, 0b0101, 0b0110)
+    finned = max_antichain(triangle + (0b1110,))
+    assert _strong_core(finned) == triangle
+    assert reduced_ranks_from_facets(finned, QQ) == {1: 1}
+    # the cone over that triangle with apex 4 collapses to one facet
+    assert len(_strong_core(tuple(f | 0b1000 for f in triangle))) == 1
+
+
+def _ranks_from_every_face(facets, field):
+    """Reduced homology of the augmented chain complex of every face, with
+    no core and no shortcut: H~_k = |k-faces| - rank d_k - rank d_k+1."""
+    by_size = {}
+    for f in facets:
+        sub = f
+        while True:     # every submask of f, the empty face included
+            by_size.setdefault(sub.bit_count(), set()).add(sub)
+            if not sub:
+                break
+            sub = (sub - 1) & f
+    faces = {s: sorted(v) for s, v in by_size.items()}
+    p = field.characteristic
+    ranks = {}
+    r = 0       # rank of d_k, from (k + 1)-sets to k-sets; d_-1 = 0
+    for size in sorted(faces):
+        r_up = _boundary_rank(faces.get(size + 1), faces[size], p)
+        h = len(faces[size]) - r - r_up
+        if h:
+            ranks[size - 1] = h
+        r = r_up
+    return ranks
+
+
+def _complex_with_dominated_vertices(rng):
+    """Facets of a random 2-complex with fins and cones glued on, on 9
+    shuffled vertices: a fin is a new vertex on one face, a cone a new
+    apex over some facets, whose vertices it may then dominate."""
+    n = rng.randint(3, 6)
+    facets = [sum(1 << b for b in rng.sample(range(n), rng.randint(1, 3)))
+              for _ in range(rng.randint(1, 7))]
+    for new in range(n, rng.randint(n, 9)):
+        if rng.random() < 0.5:
+            f = rng.choice(facets)
+            facets.append((f & rng.getrandbits(new) or f) | 1 << new)
+        else:
+            for f in rng.sample(facets, rng.randint(1, len(facets))):
+                facets.append(f | 1 << new)
+    perm = rng.sample(range(9), 9)
+    return [sum(1 << perm[b] for b in range(9) if f >> b & 1)
+            for f in facets]
+
+
+def test_core_keeps_every_rank_of_the_face_oracle():
+    rng = random.Random(6174)
+    collapsed = partial = 0
+    for _ in range(300):
+        facets = _complex_with_dominated_vertices(rng)
+        core = _strong_core(max_antichain(facets))
+        smaller = reduce(or_, core) != reduce(or_, facets)
+        collapsed += smaller
+        partial += smaller and len(core) > 1
+        for field in (QQ, GF2, GF3):
+            full = _ranks_from_every_face(facets, field)
+            for d in range(-1, 8):      # facets have at most 8 vertices
+                assert reduced_ranks_from_facets(facets, field, d) == \
+                    {k: r for k, r in full.items() if k <= d}
+    # both exits are exercised: a core of one facet, and a smaller core
+    # that still goes to the matrices
+    assert collapsed >= 200 and partial >= 50
 
 
 def test_rank_matches_sympy():

@@ -338,6 +338,13 @@ def test_depth_equality_on_the_whole_example(fig):
     assert side2.depth == lab.depth_JG(fig).depth
 
 
+def test_depth_of_the_slowest_n7_graphs():
+    # the n = 7 graphs whose squeezes took longest: both scan the homology
+    # of induced subcomplexes on 14 variables
+    assert lab.depth_JG(parse_graph6("F@Ue?")).depth == 7
+    assert lab.depth_JG(parse_graph6("FvHC?")).depth == 8
+
+
 def test_initial_ideal_matches_golden_generators(corpus6):
     # initial_ideal_upto6.txt is the stdout of `beilab initial-ideal
     # tests/data/connected_upto6.g6`: one generator a line, a blank line
