@@ -317,7 +317,10 @@ def _lcm_lattice(ideal, budget):
 def _depth_lower_bound(n, gens, topk):
     """Certified lower bound on depth of the quotient by the ideal with
     minimal generators gens in n variables, by the depth lemma applied to
-    0 -> S/(I:x) -> S/I -> S/(I+x) -> 0 recursively.
+    0 -> S/(I:x) -> S/I -> S/(I+x) -> 0 recursively. A variable generator
+    divides no other minimal generator, so each takes 1 off the bound of
+    the rest: only variable-free ideals are split, and the I + x child is
+    the bound of the generators x does not divide, less 1.
 
     topk is the number of candidate splitting variables tried per node
     (the bound is the max over candidates); larger topk is sharper but
@@ -331,51 +334,43 @@ def _depth_lower_bound(n, gens, topk):
     topk), not on ideal objects, so it keeps no ideal alive.
     """
     if not gens:
-        out = n
-    elif gens == (0,):
+        return n
+    if gens == (0,):
         raise ValueError("unit ideal: the quotient ring is zero")
-    elif all(g.bit_count() == 1 for g in gens):
-        out = n - len(gens)
-    elif len(gens) == 1:
-        out = n - 1
-    else:
-        # split on the most shared variables among non-variable generators
-        counts = {}
-        ceiling = n
-        used = 0
-        for g in gens:
-            if not g & used:
-                used |= g
-                ceiling -= 1
-            if g.bit_count() == 1:
-                continue
-            b = g
-            while b:
-                low = b & -b
-                counts[low] = counts.get(low, 0) + 1
-                b &= b - 1
-        cand = sorted(counts, key=lambda m: (-counts[m], m))[:topk]
-        out = 0
-        for x in cand:
-            if out >= ceiling:
-                break
-            # x is no generator, so both are minimal as built: I + x drops
-            # the generators x divides; I : x strips x from them and keeps
-            # each other generator that no stripped one divides
-            rest = [g for g in gens if not g & x]
-            add = _depth_lower_bound(n, tuple(sorted(rest + [x])), topk)
-            if add <= out:
-                continue
-            stripped = [g & ~x for g in gens if g & x]
-            quot = stripped + [g for g in rest
-                               if not any(s & g == s for s in stripped)]
-            out = max(out, min(
-                add, _depth_lower_bound(n, tuple(sorted(quot)), topk)))
+    others = tuple(g for g in gens if g & (g - 1))
+    if len(others) < len(gens):
+        return _depth_lower_bound(n, others, topk) - (len(gens) - len(others))
+    # split on the most shared variables
+    counts = {}
+    ceiling = n
+    used = 0
+    for g in gens:
+        if not g & used:
+            used |= g
+            ceiling -= 1
+        b = g
+        while b:
+            low = b & -b
+            counts[low] = counts.get(low, 0) + 1
+            b &= b - 1
+    cand = sorted(counts, key=lambda m: (-counts[m], m))[:topk]
+    out = 0
+    for x in cand:
+        if out >= ceiling:
+            break
+        # x is no generator, so both are minimal as built: I + x drops the
+        # generators x divides; I : x strips x from them and keeps each
+        # other generator that no stripped one divides
+        rest = [g for g in gens if not g & x]
+        add = _depth_lower_bound(n, tuple(rest), topk) - 1
+        if add <= out:
+            continue
+        stripped = [g & ~x for g in gens if g & x]
+        quot = stripped + [g for g in rest
+                           if not any(s & g == s for s in stripped)]
+        out = max(out, min(
+            add, _depth_lower_bound(n, tuple(sorted(quot)), topk)))
     return out
-
-
-def _binom_sum(n, k):
-    return sum(comb(n, s) for s in range(0, min(n, k) + 1))
 
 
 def hochster_depth(ideal, limits=Limits()):
@@ -388,14 +383,17 @@ def hochster_depth(ideal, limits=Limits()):
     from topk 1 up to 4 before any lattice is built. When the two bounds
     meet there the answer is exact with no scan, and the witness is None.
     Otherwise the scan stops the moment they meet; if they never do, the
-    completed lattice scan is itself exact. The lattice is built, and
-    charged to its budget, only when a scan runs; it is sorted by the
-    total key (-|W|, W), so the witness is the first (W, i) in that
-    order. The face budget is charged on each restricted complex as it
-    stands, before reduced_ranks_from_facets collapses it to its strong
-    core, so the core never moves a budget-limited answer. When either
-    budget in ``limits`` runs out the answer is still exact if the bounds
-    have met, and otherwise the certified interval is reported as
+    completed lattice scan is itself exact. It starts at degree 0: H~_-1
+    of W is nonzero only when every variable of W is a generator, so |W|
+    is at most the big height, pd_lb's start. In degree i it skips W with
+    |W| > n - depth_lb + i + 1, as pd <= n - depth_lb. The lattice is
+    built, and charged to its budget, only when a scan runs; it is sorted
+    by the total key (-|W|, W), so the witness is the first (W, i) in that
+    order. The face budget is charged on each restricted complex whose
+    homology is computed, before reduced_ranks_from_facets collapses it to
+    its strong core, so the core never moves a budget-limited answer. When
+    either budget in ``limits`` runs out the answer is still exact if the
+    bounds have met, and otherwise the certified interval is reported as
     indeterminate instead of a guess.
     """
     if ideal.is_unit():
@@ -415,12 +413,12 @@ def hochster_depth(ideal, limits=Limits()):
     for topk in range(1, 5):
         # sharpen the lower bound before building any lattice
         depth_lb = _depth_lower_bound(n, ideal.gens, topk)
-        if depth_lb >= n - pd_lb or pd_lb + 1 > max_size:
+        if depth_lb >= n - pd_lb or pd_lb + 2 > max_size:
             break
     witness = None
     lattice = None
     spent = 0       # faces charged to face_budget
-    i = -1          # combinatorial degrees first: they carry most witnesses
+    i = 0           # combinatorial degrees first: they carry most witnesses
     try:
         while pd_lb + i + 2 <= max_size and n - pd_lb > depth_lb:
             if lattice is None:
@@ -432,23 +430,24 @@ def hochster_depth(ideal, limits=Limits()):
                 size = w.bit_count()
                 if size < pd_lb + i + 2:
                     break   # sorted descending; nothing below can improve
-                if i <= 0:
-                    # H~_-1 and H~_0 see only vertices and edges, so the
-                    # restricted faces need no antichain pass
+                if size > n - depth_lb + i + 1:
+                    continue    # pd <= n - depth_lb: H~_i(W) vanishes
+                if i == 0:
+                    # H~_0 sees only vertices and edges, so the restricted
+                    # faces need no antichain pass
                     facets = tuple({f & w for f in cx.facets})
                 else:
                     facets = cx.restrict(w).facets
                     if facets != (0,) and not _is_cone(facets):
                         # charge the faces a degree-i computation enumerates
-                        spent += sum(_binom_sum(f.bit_count(), i + 2)
-                                     for f in facets)
+                        spent += sum(comb(f.bit_count(), s)
+                                     for f in facets for s in range(i + 3))
                         if spent > face_budget:
                             raise BudgetExceeded(
                                 "homology face budget exceeded")
                 if reduced_ranks_from_facets(facets, field, i).get(i, 0):
-                    if size - i - 1 > pd_lb:
-                        pd_lb = size - i - 1
-                        witness = (w, i)
+                    pd_lb = size - i - 1
+                    witness = (w, i)
             i += 1
     except BudgetExceeded:
         if n - pd_lb > depth_lb:

@@ -6,6 +6,7 @@ from operator import or_
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from beilab import homology
 from beilab.binomial_edge import initial_ideal
 from beilab.graphs import (complete_graph, cycle_graph, parse_graph6,
                            path_graph)
@@ -385,14 +386,42 @@ def _reference_depth_lower_bound(ideal, topk, memo):
 
 def test_depth_lower_bound_matches_reference_recursion():
     rng = random.Random(909)
+    ideals = []
     for _ in range(150):
         n = rng.randint(2, 10)
-        ideal_ = MonomialIdeal.make(n, [
+        ideals.append(MonomialIdeal.make(n, [
             sum(1 << b for b in rng.sample(range(n), rng.randint(1, min(n, 4))))
-            for _ in range(rng.randint(1, 8))])
+            for _ in range(rng.randint(1, 8))]))
+    # 1-3 variable generators beside quadratic and cubic ones: the
+    # recursion strips them, the reference carries them through each split
+    for _ in range(150):
+        n = rng.randint(4, 12)
+        variables = rng.sample(range(n), rng.randint(1, 3))
+        others = [b for b in range(n) if b not in variables]
+        ideals.append(MonomialIdeal.make(n, [1 << b for b in variables] + [
+            sum(1 << b for b in rng.sample(others, min(len(others),
+                                                       rng.randint(2, 3))))
+            for _ in range(rng.randint(1, 8))]))
+    for ideal_ in ideals:
         for topk in (1, 2, 3, 4):
-            assert _depth_lower_bound(n, ideal_.gens, topk) == \
+            assert _depth_lower_bound(ideal_.nvars, ideal_.gens, topk) == \
                 _reference_depth_lower_bound(ideal_, topk, {})
+
+
+def test_hochster_scan_never_asks_for_degree_minus_one(corpus6, monkeypatch):
+    # H~_-1 of a restriction is nonzero only at |W| <= big height, below
+    # every size the scan visits, so the scan starts at degree 0
+    degrees = []
+    ranks = homology.reduced_ranks_from_facets
+
+    def spy(facets, field, max_degree=None):
+        degrees.append(max_degree)
+        return ranks(facets, field, max_degree)
+
+    monkeypatch.setattr(homology, "reduced_ranks_from_facets", spy)
+    for g in corpus6:
+        hochster_depth(initial_ideal(g))
+    assert degrees and -1 not in degrees
 
 
 def test_depth_lower_bound_is_monotone_and_certified():

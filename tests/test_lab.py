@@ -9,7 +9,7 @@ from beilab.cutsets import AccessibilityReport, UnmixednessReport
 from beilab.graphs import (complete_graph, cycle_graph, decompose_at,
                            delete_vertices, emit_graph6, glue_at,
                            parse_edge_list, parse_graph6, path_graph)
-from beilab.homology import FieldSpec, Limits, QQ
+from beilab.homology import FieldSpec, Limits, QQ, _depth_lower_bound
 import beilab.lab as lab
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -336,6 +336,16 @@ def test_depth_equality_on_the_whole_example(fig):
     side2 = lab.depth_JG(lab.whiskered_sides(fig, 2)[1])
     assert side2.depth is not None
     assert side2.depth == lab.depth_JG(fig).depth
+
+
+def test_depth_lower_bound_work_on_the_example(fig):
+    # a depth-lemma node with variable generators is the node without them,
+    # less one for each, so I + x children share their work: the three
+    # checks, which close on the bounds alone, take at most 1,400 misses
+    _depth_lower_bound.cache_clear()
+    for v in (6, 8, 11):
+        lab.depth_equality_check(fig, v)
+    assert _depth_lower_bound.cache_info().misses <= 1400
 
 
 def test_depth_of_the_slowest_n7_graphs():
