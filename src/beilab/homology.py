@@ -13,7 +13,6 @@ degrees live.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from math import comb, gcd, isqrt
 
@@ -22,8 +21,10 @@ from . import monomials as mono
 DEFAULT_FACE_BUDGET = 5_000_000
 DEFAULT_LATTICE_BUDGET = 1_000_000
 BRUTE_DEPTH_CAP = 12    # variables; brute_depth_oracle scans 2^n subsets
-# entries kept by the depth-lemma memo
+# entries kept by the depth-lemma memo, which is emptied when full; threads
+# share it, and a racing write only stores another valid entry
 _CACHE_SIZE = 1 << 16
+_lemma_memo = {}    # (n, gens, topk) -> (bound, exact)
 
 
 @dataclass(frozen=True)
@@ -313,8 +314,7 @@ def _lcm_lattice(ideal, budget):
     return closure
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _depth_lower_bound(n, gens, topk):
+def _depth_lower_bound(n, gens, topk, cap=None):
     """Certified lower bound on depth of the quotient by the ideal with
     minimal generators gens in n variables, by the depth lemma applied to
     0 -> S/(I:x) -> S/I -> S/(I+x) -> 0 recursively. A variable generator
@@ -330,16 +330,33 @@ def _depth_lower_bound(n, gens, topk):
     no more than the running max, since the min cannot then raise it; and
     candidates stop once the max reaches the ceiling n - nu, where nu
     counts generators picked greedily to be pairwise disjoint, because
-    depth <= dim = n - height <= n - nu. The cache keys on (n, gens,
-    topk), not on ideal objects, so it keeps no ideal alive.
+    depth <= dim = n - height <= n - nu.
+
+    A caller that needs the bound only up to cap gets a value b, no more
+    than the uncapped bound B, with min(b, cap) == min(B, cap): candidates
+    stop at min(ceiling, cap) = stop, the I + x child is asked up to
+    stop + 1, the I : x child up to min(I + x less 1, stop), and the rest
+    of k variable generators up to cap + k. The memo maps (n, gens, topk),
+    not ideal objects, to (b, exact), where exact means b == B. An entry
+    serves a later call at the same topk when exact, and at that or any
+    higher topk when b is at least the call's cap, since B never falls as
+    topk grows.
     """
     if not gens:
         return n
     if gens == (0,):
         raise ValueError("unit ideal: the quotient ring is zero")
+    if cap is None:
+        cap = n     # no bound exceeds n: uncapped
+    for k in range(topk, 0, -1):
+        hit = _lemma_memo.get((n, gens, k))
+        if hit is not None and (hit[0] >= cap or k == topk and hit[1]):
+            return hit[0]
     others = tuple(g for g in gens if g & (g - 1))
     if len(others) < len(gens):
-        return _depth_lower_bound(n, others, topk) - (len(gens) - len(others))
+        k = len(gens) - len(others)
+        out = _depth_lower_bound(n, others, topk, cap + k) - k
+        return _remember(n, gens, topk, out, out < cap)
     # split on the most shared variables
     counts = {}
     ceiling = n
@@ -354,23 +371,32 @@ def _depth_lower_bound(n, gens, topk):
             counts[low] = counts.get(low, 0) + 1
             b &= b - 1
     cand = sorted(counts, key=lambda m: (-counts[m], m))[:topk]
+    stop = min(ceiling, cap)
     out = 0
     for x in cand:
-        if out >= ceiling:
+        if out >= stop:
             break
         # x is no generator, so both are minimal as built: I + x drops the
         # generators x divides; I : x strips x from them and keeps each
         # other generator that no stripped one divides
         rest = [g for g in gens if not g & x]
-        add = _depth_lower_bound(n, tuple(rest), topk) - 1
+        add = _depth_lower_bound(n, tuple(rest), topk, stop + 1) - 1
         if add <= out:
             continue
         stripped = [g & ~x for g in gens if g & x]
         quot = stripped + [g for g in rest
                            if not any(s & g == s for s in stripped)]
-        out = max(out, min(
-            add, _depth_lower_bound(n, tuple(sorted(quot)), topk)))
-    return out
+        out = max(out, min(add, _depth_lower_bound(
+            n, tuple(sorted(quot)), topk, min(add, stop))))
+    # below cap the bound is uncapped, and none exceeds the ceiling
+    return _remember(n, gens, topk, out, out < cap or out >= ceiling)
+
+
+def _remember(n, gens, topk, bound, exact):
+    if len(_lemma_memo) >= _CACHE_SIZE:
+        _lemma_memo.clear()
+    _lemma_memo[n, gens, topk] = (bound, exact)
+    return bound
 
 
 def hochster_depth(ideal, limits=Limits()):
@@ -380,9 +406,11 @@ def hochster_depth(ideal, limits=Limits()):
     witnesses (nonzero reduced homology of induced subcomplexes, scanned
     over the lcm lattice by ascending homological degree, so cheap degrees
     come first), and depth >= the depth-lemma recursion bound, sharpened
-    from topk 1 up to 4 before any lattice is built. When the two bounds
-    meet there the answer is exact with no scan, and the witness is None.
-    Otherwise the scan stops the moment they meet; if they never do, the
+    from topk 1 up to 4, each capped at n - pd_lb, before any lattice is
+    built. When the two bounds meet there the answer is exact with no
+    scan, and the witness is None. When no W is large enough to scan,
+    n - pd_lb is exact and no bound is computed. Otherwise the scan stops
+    the moment the bounds meet; if they never do, the
     completed lattice scan is itself exact. It starts at degree 0: H~_-1
     of W is nonzero only when every variable of W is a generator, so |W|
     is at most the big height, pd_lb's start. In degree i it skips W with
@@ -410,11 +438,14 @@ def hochster_depth(ideal, limits=Limits()):
     for g in ideal.gens:
         top |= g
     max_size = top.bit_count()
-    for topk in range(1, 5):
-        # sharpen the lower bound before building any lattice
-        depth_lb = _depth_lower_bound(n, ideal.gens, topk)
-        if depth_lb >= n - pd_lb or pd_lb + 2 > max_size:
-            break
+    depth_lb = n - pd_lb    # exact when no W is large enough to scan
+    if pd_lb + 2 <= max_size:
+        # sharpen the bound before any lattice; it is needed only up to
+        # n - pd_lb, and each topk reuses the nodes a lower one took there
+        for topk in range(1, 5):
+            depth_lb = _depth_lower_bound(n, ideal.gens, topk, n - pd_lb)
+            if depth_lb >= n - pd_lb:
+                break
     witness = None
     lattice = None
     spent = 0       # faces charged to face_budget

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from functools import reduce
@@ -406,6 +407,37 @@ def test_depth_lower_bound_matches_reference_recursion():
         for topk in (1, 2, 3, 4):
             assert _depth_lower_bound(ideal_.nvars, ideal_.gens, topk) == \
                 _reference_depth_lower_bound(ideal_, topk, {})
+
+
+def test_capped_depth_lower_bound_agrees_below_the_cap(monkeypatch):
+    # a call capped at c returns b <= B with min(b, c) == min(B, c), B the
+    # reference bound at its topk; the memo it leaves then serves uncapped
+    # calls at that topk and at topk 4, which must still return B there.
+    # The first ideal, the edge ideal of a path on 7 of its 8 variables,
+    # has B = 3 at topk 1 and 4 at topk 4, and its call at topk 4 capped
+    # at 3 stops at 3, short of B
+    path = MonomialIdeal.make(8, [3, 5, 12, 18, 40, 80])
+    rng = random.Random(2718)
+    ideals = [path]
+    for _ in range(60):
+        n = rng.randint(3, 10)
+        ideals.append(MonomialIdeal.make(n, [
+            sum(1 << b for b in rng.sample(range(n), rng.randint(2, 3)))
+            for _ in range(rng.randint(2, 12))]))
+    for ideal_ in ideals:
+        n = ideal_.nvars
+        want = {topk: _reference_depth_lower_bound(ideal_, topk, {})
+                for topk in (1, 2, 3, 4)}
+        for topk, cap in itertools.product(want, range(1, want[4] + 1)):
+            monkeypatch.setattr(homology, "_lemma_memo", {})
+            b = _depth_lower_bound(n, ideal_.gens, topk, cap)
+            assert b <= want[topk]
+            assert min(b, cap) == min(want[topk], cap)
+            for later in (topk, 4):
+                assert _depth_lower_bound(n, ideal_.gens, later) == \
+                    want[later]
+    assert _reference_depth_lower_bound(path, 1, {}) == 3
+    assert _reference_depth_lower_bound(path, 4, {}) == 4
 
 
 def test_hochster_scan_never_asks_for_degree_minus_one(corpus6, monkeypatch):

@@ -2,6 +2,7 @@ import json
 import pathlib
 import random
 
+import networkx as nx
 import pytest
 
 from beilab.binomial_edge import initial_ideal, setup_identities
@@ -9,7 +10,8 @@ from beilab.cutsets import AccessibilityReport, UnmixednessReport
 from beilab.graphs import (complete_graph, cycle_graph, decompose_at,
                            delete_vertices, emit_graph6, glue_at,
                            parse_edge_list, parse_graph6, path_graph)
-from beilab.homology import FieldSpec, Limits, QQ, _depth_lower_bound
+from beilab.homology import FieldSpec, Limits, QQ
+import beilab.homology as homology
 import beilab.lab as lab
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -316,6 +318,27 @@ def test_analyze_matches_golden_reports(corpus6):
         assert lab.report_json(lab.analyze(parse_graph6(record))) == line
 
 
+def test_depth_is_bounded_by_vertex_connectivity(corpus6):
+    # Banerjee and Nunez-Betancourt (Proc. AMS 2017): a non-complete graph
+    # G on n vertices has depth S/J_G <= n + 2 - kappa(G), kappa the vertex
+    # connectivity; and depth <= dim always. The n = 7 depths are read
+    # from the golden reports of connected_7.g6.
+    cases = [(g, lab.depth_JG(g).depth, lab.dim_JG(g)) for g in corpus6]
+    for line in (DATA / "analyze_7.jsonl").read_text().splitlines():
+        rep = json.loads(line)
+        cases.append((parse_graph6(rep["graph"]), rep["depth"], rep["dim"]))
+    assert len(cases) == 143 + 853
+    tight = 0
+    for g, depth, dim in cases:
+        assert depth <= dim
+        if len(g.edges) < g.n * (g.n - 1) // 2:
+            h = nx.Graph(list(g.edges))
+            bound = g.n + 2 - nx.node_connectivity(h)
+            assert depth <= bound, emit_graph6(g)
+            tight += depth == bound
+    assert tight > 0
+
+
 def test_analyze_matches_golden_example(fig):
     # analyze_fig12.jsonl is the stdout of `beilab analyze` on the edge
     # list of the 12-vertex example (conftest.fig_text); its depth is
@@ -338,14 +361,24 @@ def test_depth_equality_on_the_whole_example(fig):
     assert side2.depth == lab.depth_JG(fig).depth
 
 
-def test_depth_lower_bound_work_on_the_example(fig):
+def test_depth_lower_bound_work_on_the_example(fig, monkeypatch):
     # a depth-lemma node with variable generators is the node without them,
-    # less one for each, so I + x children share their work: the three
-    # checks, which close on the bounds alone, take at most 1,400 misses
-    _depth_lower_bound.cache_clear()
+    # less one for each, so I + x children share their work; each topk
+    # pass is capped at n - pd_lb and reuses every node a lower topk took
+    # to its cap: the three checks, which close on the bounds alone,
+    # evaluate at most 1,000 nodes, each stored once in a memo that starts
+    # empty
+    class CountingMemo(dict):
+        stores = 0
+
+        def __setitem__(self, key, value):
+            CountingMemo.stores += 1
+            super().__setitem__(key, value)
+
+    monkeypatch.setattr(homology, "_lemma_memo", CountingMemo())
     for v in (6, 8, 11):
         lab.depth_equality_check(fig, v)
-    assert _depth_lower_bound.cache_info().misses <= 1400
+    assert CountingMemo.stores <= 1000
 
 
 def test_depth_of_the_slowest_n7_graphs():
