@@ -154,7 +154,7 @@ def verify_decomposition(g):
     acc = mono.MonomialIdeal.make(nvars, (0,))  # unit ideal
     for p in ass_initial(g):
         acc = mono.intersect(acc, prime_ideal(p, nvars))
-    return mono.equal(ini, acc)
+    return ini == acc
 
 
 def colon_saturation_identity(g, v):
@@ -164,7 +164,7 @@ def colon_saturation_identity(g, v):
     n = gp.n
     lhs = mono.colon(initial_ideal(gp), 1 << mono.xvar(n, n))
     rhs = initial_ideal(saturate(gp, n))
-    return mono.equal(lhs, rhs)
+    return lhs == rhs
 
 
 # ---------------------------------------------------------------------------
@@ -218,51 +218,49 @@ def setup_identities(g, v):
     a2_vars = _var_mask(range(m + 1, n + 1), n)
 
     res = {}
-    eq = mono.equal
 
     res[1] = _verdict(set(ii.gens) == set(in_g1.gens) | set(in_g2.gens))
 
     i1p = mono.MonomialIdeal.make(nvars, (gm for gm in i1.gens if not gm & xm))
-    ok2 = eq(mono.add_variables(i1p, _bits(xm)), mono.add_variables(i1, _bits(xm)))
+    ok2 = mono.add_variables(i1p, xm) == mono.add_variables(i1, xm)
     ok2 &= _supported(i1p, a1_vars | ym)
     res[2] = _verdict(ok2)
 
     ym1 = 1 << mono.yvar(m + 1, n)
-    res[3] = _verdict(eq(mono.colon(i1, xm),
-                         mono.add_variables(in_g1m, _bits(ym1))))
+    res[3] = _verdict(mono.colon(i1, xm) == mono.add_variables(in_g1m, ym1))
 
-    c4 = mono.colon(mono.add_variables(i1, _bits(xm)), ym)
+    c4 = mono.colon(mono.add_variables(i1, xm), ym)
     i1pp = mono.MonomialIdeal.make(nvars, (gm for gm in c4.gens if not gm & xm))
-    ok4 = eq(c4, mono.add_variables(i1pp, _bits(xm)))
+    ok4 = c4 == mono.add_variables(i1pp, xm)
     ok4 &= _supported(i1pp, a1_vars)
     res[4] = _verdict(ok4)
     member1 = all(i1pp.contains(1 << mono.xvar(m - k, n)) for k in range(1, r + 1))
 
-    res[5] = _verdict(eq(mono.add_variables(i1, _bits(xm | ym)),
-                         mono.add_variables(j1, _bits(xm | ym))))
+    res[5] = _verdict(mono.add_variables(i1, xm | ym)
+                      == mono.add_variables(j1, xm | ym))
 
     i2p = mono.MonomialIdeal.make(nvars, (gm for gm in i2.gens if not gm & xm))
     xm_1 = 1 << mono.xvar(m - 1, n)
-    ok6 = eq(mono.add_variables(i2p, _bits(xm)), mono.add_variables(i2, _bits(xm)))
+    ok6 = mono.add_variables(i2p, xm) == mono.add_variables(i2, xm)
     ok6 &= _supported(i2p, a2_vars | xm_1 | ym)
     res[6] = _verdict(ok6)
 
     c7 = mono.colon(i2, xm)
     i2pp = mono.MonomialIdeal.make(
         nvars, (gm for gm in c7.gens if gm != (xm_1 | ym)))
-    ok7 = eq(c7, mono.MonomialIdeal.make(nvars, i2pp.gens + (xm_1 | ym,)))
+    ok7 = c7 == mono.MonomialIdeal.make(nvars, i2pp.gens + (xm_1 | ym,))
     ok7 &= _supported(i2pp, a2_vars)
     res[7] = _verdict(ok7)
     member2 = all(i2pp.contains(1 << mono.yvar(m + k, n)) for k in range(1, s + 1))
 
-    res[8] = _verdict(eq(mono.colon(mono.add_variables(i2, _bits(xm)), ym),
-                         mono.add_variables(in_g2m_minus, _bits(xm_1 | xm))))
+    res[8] = _verdict(mono.colon(mono.add_variables(i2, xm), ym)
+                      == mono.add_variables(in_g2m_minus, xm_1 | xm))
 
-    res[9] = _verdict(eq(mono.add_variables(i2, _bits(xm | ym)),
-                         mono.add_variables(j2, _bits(xm | ym))))
+    res[9] = _verdict(mono.add_variables(i2, xm | ym)
+                      == mono.add_variables(j2, xm | ym))
 
-    res[10] = _verdict(eq(mono.colon(ii, ym), mono.add_ideals(i1pp, in_g2m)))
-    res[11] = _verdict(eq(mono.colon(ii, xm), mono.add_ideals(i2pp, in_g1m)))
+    res[10] = _verdict(mono.colon(ii, ym) == mono.add_ideals(i1pp, in_g2m))
+    res[11] = _verdict(mono.colon(ii, xm) == mono.add_ideals(i2pp, in_g1m))
 
     return SetupReport(m=m, results=res, memberships_ok=member1 and member2)
 
@@ -276,10 +274,6 @@ def _induced(g, vertices):
 
 def _verdict(ok):
     return "ok" if ok else "fail"
-
-
-def _bits(mask):
-    return [b for b in range(mask.bit_length()) if mask >> b & 1]
 
 
 def _var_mask(vertices, n):

@@ -51,10 +51,8 @@ def all_graphs(n):
     above CORPUS_CAP vertices."""
     if n > CORPUS_CAP:
         raise ValueError(f"exhaustive corpus capped at n={CORPUS_CAP}")
-    if n == 0:
-        return ()
-    if n == 1:      # no edge, so no chunk to tabulate
-        return (Graph(1),)
+    if n < 2:       # no edge, so no chunk to tabulate
+        return (Graph(n),)
     pairs = list(itertools.combinations(range(n), 2))
     tables = _orbit_tables(n, pairs)
     low = (1 << _CHUNK) - 1

@@ -14,7 +14,9 @@ from functools import cached_property, lru_cache
 INFINITY = float("inf")
 
 DEFAULT_INDUCED_CYCLE_CAP = 16
-per_graph = lru_cache(maxsize=64)   # one graph and the graphs derived from it
+# blocks, the cutset lattice and the depth, each once per graph (and
+# limits); 64 holds one graph and the graphs derived from it
+per_graph = lru_cache(maxsize=64)
 
 
 class GraphParseError(ValueError):

@@ -16,7 +16,7 @@ from .binomial_edge import initial_ideal
 from .graphs import (add_whisker, blocks, block_with_whiskers, cut_vertices,
                      decompose_at, delete_vertices, emit_graph6, girth,
                      induced_cycle_lengths, is_connected, is_free_vertex,
-                     saturate, INFINITY)
+                     per_graph, saturate, INFINITY)
 from .homology import CMCertificate, Limits, hochster_depth
 # an oracle, not called here: bench/spans.py wraps lab.reisner_cm
 from .homology import reisner_cm  # noqa: F401
@@ -78,24 +78,6 @@ class TheoremVerdict:
         }, sort_keys=True, separators=(",", ":"))
 
 
-def _cm_certificate(unm, acc, depth):
-    """The one CM decision: the filters, then depth == dim, with
-    ``depth()`` the DepthResult of S/in(J_G)."""
-    if not unm.unmixed:
-        w = unm.witness
-        return CMCertificate(False, witness=("unmixedness",
-                                             tuple(sorted(w.vertices)), w.c))
-    if not acc.accessible:
-        return CMCertificate(False, witness=(
-            "accessibility", tuple(sorted(acc.witness.vertices))))
-    dr = depth()
-    if dr.depth is None:
-        return CMCertificate(None)
-    if dr.depth == unm.dim:
-        return CMCertificate(True)
-    return CMCertificate(False, witness=("depth", dr.depth, unm.dim))
-
-
 def cm_check(g, limits=Limits()):
     """Cohen-Macaulayness of the binomial edge ideal: depth == dim, where
     in(J_G) is square-free, so S/J_G and S/in(J_G) share depth and
@@ -106,8 +88,21 @@ def cm_check(g, limits=Limits()):
     depth, dim), and a depth out of either budget of ``limits`` gives
     is_cm None.
     """
-    return _cm_certificate(cs.is_unmixed(g), cs.is_accessible(g),
-                           lambda: depth_JG(g, limits))
+    unm = cs.is_unmixed(g)
+    if not unm.unmixed:
+        w = unm.witness
+        return CMCertificate(False, witness=("unmixedness",
+                                             tuple(sorted(w.vertices)), w.c))
+    acc = cs.is_accessible(g)
+    if not acc.accessible:
+        return CMCertificate(False, witness=(
+            "accessibility", tuple(sorted(acc.witness.vertices))))
+    depth = depth_JG(g, limits).depth
+    if depth is None:
+        return CMCertificate(None)
+    if depth == unm.dim:
+        return CMCertificate(True)
+    return CMCertificate(False, witness=("depth", depth, unm.dim))
 
 
 def dim_JG(g):
@@ -115,8 +110,11 @@ def dim_JG(g):
     return cs.is_unmixed(g).dim
 
 
+@per_graph
 def depth_JG(g, limits=Limits()):
-    """Depth of the quotient by J_G, via depth of its initial ideal."""
+    """Depth of the quotient by J_G, via depth of its initial ideal; once
+    per graph and limits, so an answer out of one budget is never served
+    to another."""
     return hochster_depth(initial_ideal(g), limits)
 
 
@@ -124,9 +122,7 @@ def analyze(g, limits=Limits()):
     cuts = cs.enumerate_cutsets(g)
     unm = cs.is_unmixed(g)
     acc = cs.is_accessible(g)
-    # one depth per graph, shared by the CM verdict and the report
-    dr = depth_JG(g, limits)
-    cert = _cm_certificate(unm, acc, lambda: dr)
+    cert = cm_check(g, limits)
     bd = blocks(g)
     return AnalysisReport(
         graph6=emit_graph6(g),
@@ -144,7 +140,7 @@ def analyze(g, limits=Limits()):
         cm=cert.is_cm,
         cm_witness=cert.witness,
         field_char=limits.field.characteristic,
-        depth=dr.depth,
+        depth=depth_JG(g, limits).depth,
         dim=unm.dim)
 
 
@@ -245,7 +241,7 @@ def verify_deletion_lemmas(corpus, limits=Limits(), corpus_name=""):
             continue
         g6 = emit_graph6(g)
         g_unmixed = cs.is_unmixed(g).unmixed
-        g_cm = cm(g) if g_unmixed else False
+        g_cm = cm(g)
         for v, dec in splits:
             count += 1
             nonfree = not any(is_free_vertex(*side) for side in dec.sides)
@@ -408,14 +404,7 @@ class DepthEqualityRecord:
 
 def depth_equality_check(g, v, limits=Limits()):
     """depth(S/J_G) versus depth of the two whiskered sides minus four."""
-    return _depth_equality(depth_JG(g, limits), whiskered_sides(g, v),
-                           limits)
-
-
-def _depth_equality(depth_g, sides, limits):
-    """The record for depth(S/J_G) given as ``depth_g``, and the pair of
-    whiskered sides of one split of G."""
-    parts = [depth_g] + [depth_JG(x, limits) for x in sides]
+    parts = [depth_JG(x, limits) for x in (g, *whiskered_sides(g, v))]
     if any(p.depth is None for p in parts):
         return DepthEqualityRecord(None, None, None)
     lhs = parts[0].depth
@@ -473,17 +462,14 @@ def verify_depth_equality(corpus, limits=Limits(), corpus_name=""):
         if splits is None:
             indeterminate += 1
             continue
-        if not splits:
-            continue
-        g6 = emit_graph6(g)
-        depth_g = depth_JG(g, limits)
-        for v, dec in splits:
+        for v, _ in splits:
             count += 1
-            rec = _depth_equality(depth_g, _whiskered(dec), limits)
+            rec = depth_equality_check(g, v, limits)
             if rec.equal is None:
                 indeterminate += 1
             elif not rec.equal:
-                findings.append((g6, f"v={v} lhs={rec.lhs} rhs={rec.rhs}"))
+                findings.append((emit_graph6(g),
+                                 f"v={v} lhs={rec.lhs} rhs={rec.rhs}"))
     return TheoremVerdict("depth-equality", corpus_name, count, (),
                           findings=tuple(findings),
                           indeterminate=indeterminate)

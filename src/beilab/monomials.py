@@ -81,9 +81,9 @@ def colon(ideal, mask):
     return MonomialIdeal.make(ideal.nvars, (g & ~mask for g in ideal.gens))
 
 
-def add_variables(ideal, bits):
-    """I + <v : v in bits> where bits are variable positions."""
-    extra = [1 << b for b in bits]
+def add_variables(ideal, mask):
+    """I + <v : v in mask>, the variables the bits of ``mask`` stand for."""
+    extra = [1 << b for b in range(mask.bit_length()) if mask >> b & 1]
     return MonomialIdeal.make(ideal.nvars, list(ideal.gens) + extra)
 
 
@@ -100,10 +100,6 @@ def intersect(a, b):
     if a.is_zero() or b.is_zero():
         return MonomialIdeal.make(a.nvars, ())
     return MonomialIdeal.make(a.nvars, (g | h for g in a.gens for h in b.gens))
-
-
-def equal(a, b):
-    return a.nvars == b.nvars and a.gens == b.gens
 
 
 def minimal_primes(ideal):

@@ -5,6 +5,7 @@ import pytest
 
 from beilab.graphs import Graph, parse_edge_list
 from beilab.corpus import connected_graphs, connected_graphs_upto
+import beilab.lab as lab
 
 # the n=12 running example: two blocks of girth 3 and 4 joined through a
 # tree of cut vertices; decomposable at 2, 6, 8, 11
@@ -31,6 +32,16 @@ def random_graphs_any(seed, count, n_max=9):
             e for e in itertools.combinations(range(1, n + 1), 2)
             if rng.random() < p]))
     return out
+
+
+@pytest.fixture(autouse=True)
+def fresh_depth_memo():
+    """Each test starts and ends with an empty depth memo, so a test that
+    fakes or counts lab.hochster_depth neither reads nor leaves a depth
+    from another test."""
+    lab.depth_JG.cache_clear()
+    yield
+    lab.depth_JG.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -13,8 +13,8 @@ from beilab.graphs import emit_graph6, is_connected
 DATA = pathlib.Path(__file__).parent / "data"
 
 # OEIS A000088 (graphs) and A001349 (connected graphs) up to isomorphism
-GRAPH_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
-CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
+GRAPH_COUNTS = {0: 1, 1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
+CONNECTED_COUNTS = {0: 1, 1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 
 
 def test_graph_counts():

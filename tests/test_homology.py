@@ -252,7 +252,7 @@ def depth_splitting_check(ideal, var_bits, limits=Limits()):
         q = colon(cur, 1 << b)
         if not q.is_unit():
             candidates.append(hochster_depth(q, limits).depth)
-        cur = add_variables(cur, [b])
+        cur = add_variables(cur, 1 << b)
     if not cur.is_unit():
         candidates.append(hochster_depth(cur, limits).depth)
     return d in candidates

@@ -262,13 +262,15 @@ def test_cm_by_depth_agrees_with_reisner(corpus5):
             reisner_cm(stanley_reisner(initial_ideal(g))).is_cm
 
 
-def test_depth_witness_when_not_cm():
+def test_depth_witness_when_not_cm(monkeypatch):
     # no graph with n <= 7 is accessible yet not CM, so passing filter
     # reports stand in around C4's real depth and dimension
     c4 = cycle_graph(4)
-    passing = (UnmixednessReport(True, None, lab.dim_JG(c4)),
-               AccessibilityReport(True, None))
-    cert = lab._cm_certificate(*passing, lambda: lab.depth_JG(c4))
+    unmixed = UnmixednessReport(True, None, lab.dim_JG(c4))
+    monkeypatch.setattr(lab.cs, "is_unmixed", lambda g: unmixed)
+    monkeypatch.setattr(lab.cs, "is_accessible",
+                        lambda g: AccessibilityReport(True, None))
+    cert = lab.cm_check(c4)
     assert cert.is_cm is False
     label, depth, dim = cert.witness
     assert label == "depth" and depth < dim == lab.dim_JG(c4)
@@ -379,6 +381,34 @@ def test_depth_lower_bound_work_on_the_example(fig, monkeypatch):
     for v in (6, 8, 11):
         lab.depth_equality_check(fig, v)
     assert CountingMemo.stores <= 1000
+
+
+def test_depth_equality_asks_each_graph_once(fig, monkeypatch):
+    # the example's own depth is asked at every cut vertex, and one
+    # whiskered side is the same graph at two of them: six graphs in all
+    calls = []
+    real = lab.hochster_depth
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lab, "hochster_depth", counting)
+    for v in (6, 8, 11):
+        lab.depth_equality_check(fig, v)
+    assert len(calls) == 6
+
+
+def test_depth_memo_keeps_limits_apart():
+    # an answer out of one budget is never served to another, either way
+    g = parse_graph6("FvHC?")
+    tight = Limits(QQ, lattice_budget=1, face_budget=1)
+    before = lab.depth_JG(g, tight)
+    assert before.depth is None and before.depth_bounds == (7, 8)
+    assert lab.depth_JG(g).depth == 8
+    assert lab.depth_JG(g, tight) == before
+    # caches must be bounded
+    assert lab.depth_JG.cache_info().maxsize == 64
 
 
 def test_depth_of_the_slowest_n7_graphs():

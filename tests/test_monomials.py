@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from beilab.binomial_edge import initial_ideal
 from beilab.corpus import all_graphs
 from beilab.monomials import (MonomialIdeal, SimplicialComplex, add_ideals,
-                              colon, equal, intersect, max_antichain,
+                              colon, intersect, max_antichain,
                               minimal_primes, stanley_reisner, var_name,
                               xvar, yvar)
 
@@ -108,7 +108,7 @@ def test_intersection_of_minimal_primes_recovers_radical(gens):
     for p in primes:
         acc = intersect(acc, MonomialIdeal.make(
             8, [1 << b for b in range(8) if p >> b & 1]))
-    assert equal(acc, i)
+    assert acc == i
 
 
 def test_stanley_reisner_conventions():
