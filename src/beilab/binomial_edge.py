@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from . import monomials as mono
 from .cutsets import Cutset, enumerate_cutsets
@@ -19,24 +21,10 @@ DEFAULT_PATH_CAP = 14
 
 
 @dataclass(frozen=True)
-class AdmissiblePath:
-    vertices: tuple  # i_0, ..., i_r with i_0 < i_r
-
-    @property
-    def i(self):
-        return self.vertices[0]
-
-    @property
-    def j(self):
-        return self.vertices[-1]
-
-
-@dataclass(frozen=True)
 class PrimeComponentInitial:
     """A variable-generated associated prime of the initial ideal."""
 
     cutset: Cutset
-    choice: tuple      # one vertex per component, in component order
     mask: int          # generating variables in the 2n universe
 
     def size(self):
@@ -44,7 +32,8 @@ class PrimeComponentInitial:
 
 
 def admissible_paths(g):
-    """All admissible paths of the labeled graph g.
+    """All admissible paths of the labeled graph g, each as its vertex
+    tuple (i_0, ..., i_r) with i_0 < i_r.
 
     A path i = i_0, ..., i_r = j with i < j is admissible when its interior
     vertices all lie below i or above j and the path is induced (which is
@@ -60,7 +49,7 @@ def admissible_paths(g):
         for w in sorted(adj[last]):
             if w == j:
                 if len(path) == 1 or all(w not in adj[u] for u in path[:-1]):
-                    out.append(AdmissiblePath(tuple(path) + (j,)))
+                    out.append(tuple(path) + (j,))
                 continue
             if w in members or not (w < i or w > j):
                 continue
@@ -79,9 +68,9 @@ def admissible_paths(g):
 
 def path_monomial(path, n):
     """u_pi * x_i * y_j as a mask in the 2n universe."""
-    i, j = path.i, path.j
+    i, j = path[0], path[-1]
     mask = (1 << mono.xvar(i, n)) | (1 << mono.yvar(j, n))
-    for v in path.vertices[1:-1]:
+    for v in path[1:-1]:
         if v > j:
             mask |= 1 << mono.xvar(v, n)
         elif v < i:
@@ -91,47 +80,26 @@ def path_monomial(path, n):
 
 def initial_ideal(g):
     """in(J_G) in the 2n-variable universe, from the admissible paths of g."""
-    paths = admissible_paths(g)
-    n = g.n
-    masks = [path_monomial(p, n) for p in paths]
-    ideal = mono.MonomialIdeal.make(2 * n, masks)
+    masks = [path_monomial(p, g.n) for p in admissible_paths(g)]
+    ideal = mono.MonomialIdeal.make(2 * g.n, masks)
     if len(ideal.gens) != len(masks):
         raise AssertionError("admissible-path generators should form an antichain")
     return ideal
 
 
-def prime_PTv(g, t, choice):
-    """The associated prime of in(J_G) for cutset t and component choices.
-
-    ``choice`` picks one vertex per connected component of G - t (component
-    order: by least vertex). Generators: x_i, y_i for i in t; then per
-    component, x_i for i below the chosen vertex and y_j for j above it.
-    """
-    t = frozenset(t)
-    comps = connected_components(g, t)
-    if len(choice) != len(comps) or any(v not in c for v, c in zip(choice, comps)):
-        raise ValueError("choice must pick one vertex from each component")
-    n = g.n
-    mask = 0
-    for i in t:
-        mask |= (1 << mono.xvar(i, n)) | (1 << mono.yvar(i, n))
-    for vk, comp in zip(choice, comps):
-        for i in comp:
-            if i < vk:
-                mask |= 1 << mono.xvar(i, n)
-            elif i > vk:
-                mask |= 1 << mono.yvar(i, n)
-    return PrimeComponentInitial(Cutset(t, len(comps)), tuple(choice), mask)
-
-
 def ass_initial(g):
     """Ass(in(J_G)) = all P_T(v) over cutsets T and component choices v,
-    checked against the height formula and for pairwise incomparability."""
+    checked against the height formula and for pairwise incomparability.
+    P_T(v) holds x_i, y_i for i in T and, per component of G - T, the
+    ``_choice_mask`` of the vertex that v picks in it."""
+    n = g.n
     primes = []
     for t in enumerate_cutsets(g):
-        comps = connected_components(g, t.vertices)
-        for choice in itertools.product(*[sorted(c) for c in comps]):
-            primes.append(prime_PTv(g, t.vertices, choice))
+        base = _var_mask(t.vertices, n)
+        per_comp = [[_choice_mask(comp, v, n) for v in sorted(comp)]
+                    for comp in connected_components(g, t.vertices)]
+        for masks in itertools.product(*per_comp):
+            primes.append(PrimeComponentInitial(t, reduce(or_, masks, base)))
     for p in primes:
         expected = g.n + len(p.cutset) - p.cutset.c
         if p.size() != expected:
@@ -142,9 +110,19 @@ def ass_initial(g):
     return primes
 
 
+def _choice_mask(comp, v, n):
+    """x_i for i in comp below v, y_i for i in comp above v."""
+    mask = 0
+    for i in comp:
+        if i < v:
+            mask |= 1 << mono.xvar(i, n)
+        elif i > v:
+            mask |= 1 << mono.yvar(i, n)
+    return mask
+
+
 def prime_ideal(p, nvars):
-    bits = [b for b in range(nvars) if p.mask >> b & 1]
-    return mono.MonomialIdeal.make(nvars, [1 << b for b in bits])
+    return mono.add_variables(mono.MonomialIdeal.make(nvars, ()), p.mask)
 
 
 def verify_decomposition(g):
@@ -173,12 +151,11 @@ def colon_saturation_identity(g, v):
 @dataclass(frozen=True)
 class SetupReport:
     m: int
-    results: dict          # index 1..11 -> "ok" | "fail" | "skip"
+    results: dict          # index 1..11 -> whether the identity holds
     memberships_ok: bool   # stated generator memberships of I_1'', I_2''
 
     def all_hold(self):
-        return self.memberships_ok and all(v in ("ok", "skip")
-                                           for v in self.results.values())
+        return self.memberships_ok and all(self.results.values())
 
 
 def setup_identities(g, v):
@@ -219,48 +196,44 @@ def setup_identities(g, v):
 
     res = {}
 
-    res[1] = _verdict(set(ii.gens) == set(in_g1.gens) | set(in_g2.gens))
+    res[1] = set(ii.gens) == set(in_g1.gens) | set(in_g2.gens)
 
     i1p = mono.MonomialIdeal.make(nvars, (gm for gm in i1.gens if not gm & xm))
-    ok2 = mono.add_variables(i1p, xm) == mono.add_variables(i1, xm)
-    ok2 &= _supported(i1p, a1_vars | ym)
-    res[2] = _verdict(ok2)
+    res[2] = (mono.add_variables(i1p, xm) == mono.add_variables(i1, xm)
+              and _supported(i1p, a1_vars | ym))
 
     ym1 = 1 << mono.yvar(m + 1, n)
-    res[3] = _verdict(mono.colon(i1, xm) == mono.add_variables(in_g1m, ym1))
+    res[3] = mono.colon(i1, xm) == mono.add_variables(in_g1m, ym1)
 
     c4 = mono.colon(mono.add_variables(i1, xm), ym)
     i1pp = mono.MonomialIdeal.make(nvars, (gm for gm in c4.gens if not gm & xm))
-    ok4 = c4 == mono.add_variables(i1pp, xm)
-    ok4 &= _supported(i1pp, a1_vars)
-    res[4] = _verdict(ok4)
+    res[4] = (c4 == mono.add_variables(i1pp, xm)
+              and _supported(i1pp, a1_vars))
     member1 = all(i1pp.contains(1 << mono.xvar(m - k, n)) for k in range(1, r + 1))
 
-    res[5] = _verdict(mono.add_variables(i1, xm | ym)
-                      == mono.add_variables(j1, xm | ym))
+    res[5] = (mono.add_variables(i1, xm | ym)
+              == mono.add_variables(j1, xm | ym))
 
     i2p = mono.MonomialIdeal.make(nvars, (gm for gm in i2.gens if not gm & xm))
     xm_1 = 1 << mono.xvar(m - 1, n)
-    ok6 = mono.add_variables(i2p, xm) == mono.add_variables(i2, xm)
-    ok6 &= _supported(i2p, a2_vars | xm_1 | ym)
-    res[6] = _verdict(ok6)
+    res[6] = (mono.add_variables(i2p, xm) == mono.add_variables(i2, xm)
+              and _supported(i2p, a2_vars | xm_1 | ym))
 
     c7 = mono.colon(i2, xm)
     i2pp = mono.MonomialIdeal.make(
         nvars, (gm for gm in c7.gens if gm != (xm_1 | ym)))
-    ok7 = c7 == mono.MonomialIdeal.make(nvars, i2pp.gens + (xm_1 | ym,))
-    ok7 &= _supported(i2pp, a2_vars)
-    res[7] = _verdict(ok7)
+    res[7] = (c7 == mono.MonomialIdeal.make(nvars, i2pp.gens + (xm_1 | ym,))
+              and _supported(i2pp, a2_vars))
     member2 = all(i2pp.contains(1 << mono.yvar(m + k, n)) for k in range(1, s + 1))
 
-    res[8] = _verdict(mono.colon(mono.add_variables(i2, xm), ym)
-                      == mono.add_variables(in_g2m_minus, xm_1 | xm))
+    res[8] = (mono.colon(mono.add_variables(i2, xm), ym)
+              == mono.add_variables(in_g2m_minus, xm_1 | xm))
 
-    res[9] = _verdict(mono.add_variables(i2, xm | ym)
-                      == mono.add_variables(j2, xm | ym))
+    res[9] = (mono.add_variables(i2, xm | ym)
+              == mono.add_variables(j2, xm | ym))
 
-    res[10] = _verdict(mono.colon(ii, ym) == mono.add_ideals(i1pp, in_g2m))
-    res[11] = _verdict(mono.colon(ii, xm) == mono.add_ideals(i2pp, in_g1m))
+    res[10] = mono.colon(ii, ym) == mono.add_ideals(i1pp, in_g2m)
+    res[11] = mono.colon(ii, xm) == mono.add_ideals(i2pp, in_g1m)
 
     return SetupReport(m=m, results=res, memberships_ok=member1 and member2)
 
@@ -270,10 +243,6 @@ def _induced(g, vertices):
     vs = frozenset(vertices)
     return Graph(g.n, frozenset((i, j) for i, j in g.edges
                                 if i in vs and j in vs))
-
-
-def _verdict(ok):
-    return "ok" if ok else "fail"
 
 
 def _var_mask(vertices, n):

@@ -110,11 +110,16 @@ def dim_JG(g):
     return cs.is_unmixed(g).dim
 
 
-@per_graph
 def depth_JG(g, limits=Limits()):
     """Depth of the quotient by J_G, via depth of its initial ideal; once
     per graph and limits, so an answer out of one budget is never served
-    to another."""
+    to another. Limits goes to the memo positionally, so the memo keys on
+    its value and not on the call form."""
+    return _depth(g, limits)
+
+
+@per_graph
+def _depth(g, limits):
     return hochster_depth(initial_ideal(g), limits)
 
 

@@ -117,8 +117,6 @@ def minimal_primes(ideal):
     """
     if ideal.is_unit():
         raise ValueError("unit ideal has no minimal primes")
-    if ideal.is_zero():
-        return ()
     gens = sorted(ideal.gens, key=int.bit_count)
     results = []
 
@@ -205,14 +203,12 @@ class SimplicialComplex:
 def stanley_reisner(ideal):
     """Stanley-Reisner complex of a proper square-free ideal.
 
-    Facets are the complements of the minimal primes. The zero ideal gives
-    the full simplex; the unit ideal gives the void complex.
-    """
+    Facets are the complements of the minimal primes. The zero ideal's one
+    minimal prime, (0), gives the full simplex; the unit ideal gives the
+    void complex."""
     full = (1 << ideal.nvars) - 1
     if ideal.is_unit():
         return SimplicialComplex(ideal.nvars, ())
-    if ideal.is_zero():
-        return SimplicialComplex(ideal.nvars, (full,))
     # the minimal primes are an antichain, so their complements are too
     return SimplicialComplex(ideal.nvars, tuple(sorted(
         full & ~p for p in minimal_primes(ideal))))

@@ -39,9 +39,9 @@ def fresh_depth_memo():
     """Each test starts and ends with an empty depth memo, so a test that
     fakes or counts lab.hochster_depth neither reads nor leaves a depth
     from another test."""
-    lab.depth_JG.cache_clear()
+    lab._depth.cache_clear()
     yield
-    lab.depth_JG.cache_clear()
+    lab._depth.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -60,7 +60,7 @@ def test_single_vertex_and_edgeless():
 def test_admissible_paths_are_induced():
     g = cycle_graph(6)
     for p in admissible_paths(g):
-        vs = p.vertices
+        vs = p
         assert vs[0] < vs[-1]
         for k in vs[1:-1]:
             assert k < vs[0] or k > vs[-1]
@@ -92,6 +92,19 @@ def test_ass_counts():
     assert len(ass_initial(cycle_graph(4))) == 6
 
 
+def test_ass_initial_is_the_minimal_primes_of_the_initial_ideal(corpus6,
+                                                                fig):
+    # in(J_G) is square-free, so its associated primes are its minimal
+    # primes: the P_T(v) fold and the transversal search must agree, K1's
+    # zero ideal (one minimal prime, (0)) included
+    total = 0
+    for g in corpus6 + [fig]:
+        masks = {p.mask for p in ass_initial(g)}
+        assert masks == set(minimal_primes(initial_ideal(g))), g
+        total += len(masks)
+    assert total == 1861 + 376
+
+
 def test_decomposition_small_corpus():
     rng = random.Random(123)
     cases = [path_graph(k) for k in (2, 3, 4)] + \
@@ -121,7 +134,7 @@ def test_induced_subgraph_ideal_is_made_of_its_own_paths():
             h = _induced(g, s)
             assert h.n == g.n
             inside = {path_monomial(p, g.n) for p in paths
-                      if set(p.vertices) <= s}
+                      if set(p) <= s}
             assert set(initial_ideal(h).gens) == inside
 
 

@@ -192,6 +192,18 @@ def test_analyze_honours_both_budgets(monkeypatch, flags, env):
     assert limited >= 1
 
 
+def test_analyze_matches_the_budget_golden():
+    # analyze_upto6_budget1.jsonl is the stdout of `beilab analyze
+    # tests/data/connected_upto6.g6 --face-budget 1 --lattice-budget 1`,
+    # which exits 2 (CI also runs the installed command)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(["analyze", str(DATA / "connected_upto6.g6"),
+                         "--face-budget", "1", "--lattice-budget", "1"])
+    assert code == 2
+    assert buf.getvalue() == (DATA / "analyze_upto6_budget1.jsonl").read_text()
+
+
 @pytest.mark.parametrize("violations,indeterminate,findings,code", [
     ((("Bg", "x"),), 1, (("Bg", "y"),), 1),
     ((), 1, (("Bg", "y"),), 2),

@@ -4,6 +4,7 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from beilab.binomial_edge import initial_ideal, setup_identities
 from beilab.cutsets import AccessibilityReport, UnmixednessReport
@@ -13,6 +14,7 @@ from beilab.graphs import (complete_graph, cycle_graph, decompose_at,
 from beilab.homology import FieldSpec, Limits, QQ
 import beilab.homology as homology
 import beilab.lab as lab
+from conftest import random_graphs_any
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -408,7 +410,49 @@ def test_depth_memo_keeps_limits_apart():
     assert lab.depth_JG(g).depth == 8
     assert lab.depth_JG(g, tight) == before
     # caches must be bounded
-    assert lab.depth_JG.cache_info().maxsize == 64
+    assert lab._depth.cache_info().maxsize == 64
+
+
+def test_depth_memo_keys_on_values_not_call_form(monkeypatch):
+    # the default, a positional and a keyword Limits() are one entry
+    calls = []
+    real = lab.hochster_depth
+
+    def counting(ideal, limits):
+        calls.append(ideal)
+        return real(ideal, limits)
+
+    monkeypatch.setattr(lab, "hochster_depth", counting)
+    g = path_graph(4)
+    answers = {lab.depth_JG(g), lab.depth_JG(g, Limits()),
+               lab.depth_JG(g, limits=Limits())}
+    assert len(answers) == 1 and len(calls) == 1
+    info = lab._depth.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6),
+       st.sampled_from((0, 1, 10, 100)), st.sampled_from((0, 1, 10, 100)))
+# few random graphs with n <= 6 run out of budget (5 in 3,000 at budgets
+# 1); seed 368 draws a labeled 6-path whose depth (7 in (6, 7)) and CM
+# verdict budgets 1 both withhold
+@example(seed=368, lattice_budget=1, face_budget=1)
+def test_graph_budgets_yield_exact_answers_or_certified_intervals(
+        seed, lattice_budget, face_budget):
+    # a budget may withhold a graph's depth or CM verdict, never change it
+    limits = Limits(QQ, lattice_budget, face_budget)
+    for g in random_graphs_any(seed, 3, n_max=6):
+        exact = lab.depth_JG(g).depth
+        r = lab.depth_JG(g, limits)
+        assert (r.depth is None) == (r.depth_bounds is not None)
+        if r.depth is None:
+            lo, hi = r.depth_bounds
+            assert lo <= exact <= hi
+        else:
+            assert r.depth == exact
+        cm = lab.cm_check(g, limits).is_cm
+        assert cm is None or cm == lab.cm_check(g).is_cm
 
 
 def test_depth_of_the_slowest_n7_graphs():

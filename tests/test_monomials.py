@@ -72,8 +72,6 @@ def minimal_primes_by_faces(ideal):
     """Minimal primes recomputed by brute-force face enumeration: the
     complements of the maximal generator-free subsets of the universe."""
     full = (1 << ideal.nvars) - 1
-    if ideal.is_zero():
-        return ()
     free = [w for w in range(full + 1)
             if not any(g & w == g for g in ideal.gens)]
     return tuple(sorted(full & ~f for f in max_antichain(free)))
