@@ -5,27 +5,27 @@ Everything here works with the lexicographic order x_1 > ... > x_n > y_1 >
 admissible paths. The binomials themselves are never materialized.
 """
 
-from __future__ import annotations
-
 import itertools
-from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 
 from . import monomials as mono
-from .cutsets import Cutset, enumerate_cutsets
+from ._record import Record
+from .cutsets import enumerate_cutsets
 from .graphs import (Graph, _relabel_around, connected_components,
                      decompose_at, saturate)
 
 DEFAULT_PATH_CAP = 14
 
 
-@dataclass(frozen=True)
-class PrimeComponentInitial:
+class PrimeComponentInitial(Record):
     """A variable-generated associated prime of the initial ideal."""
 
-    cutset: Cutset
-    mask: int          # generating variables in the 2n universe
+    _fields = __slots__ = ("cutset",
+                           "mask")  # generating variables in the 2n universe
+
+    def __init__(self, cutset, mask):
+        self._init(cutset, mask)
 
     def size(self):
         return self.mask.bit_count()
@@ -148,11 +148,14 @@ def colon_saturation_identity(g, v):
 # ---------------------------------------------------------------------------
 # the eleven labeling identities of a two-sided split
 
-@dataclass(frozen=True)
-class SetupReport:
-    m: int
-    results: dict          # index 1..11 -> whether the identity holds
-    memberships_ok: bool   # stated generator memberships of I_1'', I_2''
+class SetupReport(Record):
+    _fields = __slots__ = (
+        "m",
+        "results",          # index 1..11 -> whether the identity holds
+        "memberships_ok")   # stated generator memberships of I_1'', I_2''
+
+    def __init__(self, m, results, memberships_ok):
+        self._init(m, results, memberships_ok)
 
     def all_hold(self):
         return self.memberships_ok and all(self.results.values())

@@ -11,14 +11,11 @@ hypothesis-relevant findings only, 64 unknown theorem id; a violation
 beats indeterminate, which beats findings.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 
 from .binomial_edge import DEFAULT_PATH_CAP, initial_ideal
 from .graphs import GraphParseError, parse_edge_list, parse_graph6
@@ -194,8 +191,8 @@ def cmd_verify(args, out=sys.stdout):
     within = [g for g in graphs if not _cap_exceeded(g, args.max_n)]
     verdict = VERIFIERS[args.theorem](within, _limits(args),
                                       corpus_name=args.corpus)
-    verdict = replace(verdict, indeterminate=verdict.indeterminate
-                      + len(graphs) - len(within))
+    verdict = verdict._replace(indeterminate=verdict.indeterminate
+                               + len(graphs) - len(within))
     print(verdict.to_json(), file=out)
     if verdict.violations:
         return EXIT_PARSE  # hard failure, never hypothesis-relevant

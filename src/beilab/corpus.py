@@ -11,8 +11,6 @@ is capped at CORPUS_CAP vertices: at n = 8 the array of seen masks alone is
 268 MB, and the scan takes hours.
 """
 
-from __future__ import annotations
-
 import itertools
 from functools import lru_cache
 from operator import or_

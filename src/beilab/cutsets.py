@@ -5,36 +5,40 @@ G - (T - {t}); cutsets index the minimal primes of the binomial edge
 ideal, with height n + |T| - c(T).
 """
 
-from __future__ import annotations
-
 import itertools
-from dataclasses import dataclass
 
+from ._record import Record
 from .graphs import connected_components, is_free_vertex, per_graph
 
 DEFAULT_CUTSET_CAP = 24
 
 
-@dataclass(frozen=True)
-class Cutset:
-    vertices: frozenset
-    c: int  # component count of G minus the cutset
+class Cutset(Record):
+    _fields = __slots__ = ("vertices",
+                           "c")     # component count of G minus the cutset
+
+    def __init__(self, vertices, c):
+        self._init(vertices, c)
 
     def __len__(self):
         return len(self.vertices)
 
 
-@dataclass(frozen=True)
-class UnmixednessReport:
-    unmixed: bool
-    witness: Cutset | None     # first cutset violating c(T) = |T| + c
-    dim: int                   # n + max_T (c(T) - |T|)
+class UnmixednessReport(Record):
+    _fields = __slots__ = ("unmixed",
+                           "witness",   # first cutset violating c(T) = |T| + c
+                           "dim")       # n + max_T (c(T) - |T|)
+
+    def __init__(self, unmixed, witness, dim):
+        self._init(unmixed, witness, dim)
 
 
-@dataclass(frozen=True)
-class AccessibilityReport:
-    accessible: bool
-    witness: Cutset | None     # inaccessible cutset, or unmixedness witness
+class AccessibilityReport(Record):
+    # witness: an inaccessible cutset, or the unmixedness witness
+    _fields = __slots__ = ("accessible", "witness")
+
+    def __init__(self, accessible, witness):
+        self._init(accessible, witness)
 
 
 def component_count(g, t=frozenset()):

@@ -5,11 +5,10 @@ because the monomial machinery downstream depends on the vertex order.
 All graphs are immutable; operations return new graphs.
 """
 
-from __future__ import annotations
-
 import itertools
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
+
+from ._record import Record, _set
 
 INFINITY = float("inf")
 
@@ -23,30 +22,35 @@ class GraphParseError(ValueError):
     """Raised on malformed graph6 or edge-list input."""
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Record):
     """Simple graph on vertices 1..n with a canonical edge set (i < j)."""
 
-    n: int
-    edges: frozenset = field(default_factory=frozenset)
+    _fields = ("n", "edges")
+    __slots__ = _fields + ("_adj",)
 
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"negative vertex count n={self.n}")
-        for (i, j) in self.edges:
-            if not (1 <= i < j <= self.n):
-                raise ValueError(f"bad edge ({i},{j}) for n={self.n}")
+    def __init__(self, n, edges=frozenset()):
+        if n < 0:
+            raise ValueError(f"negative vertex count n={n}")
+        for (i, j) in edges:
+            if not (1 <= i < j <= n):
+                raise ValueError(f"bad edge ({i},{j}) for n={n}")
+        self._init(n, edges)
 
-    @cached_property
-    def _adj(self):
+    def __getattr__(self, name):
+        # reached only while the _adj slot is unset: the neighbor sets are
         # built on first use, once per instance, so a graph that is only
         # checked against a size cap never allocates per-vertex state;
-        # adjacency(), neighbors() and degree() read it
+        # adjacency(), neighbors() and degree() read them
+        if name != "_adj":
+            raise AttributeError(
+                f"'Graph' object has no attribute {name!r}")
         adj = {v: set() for v in range(1, self.n + 1)}
         for (i, j) in self.edges:
             adj[i].add(j)
             adj[j].add(i)
-        return {v: frozenset(s) for v, s in adj.items()}
+        adj = {v: frozenset(s) for v, s in adj.items()}
+        _set(self, "_adj", adj)
+        return adj
 
     @staticmethod
     def from_edges(n, edge_iter):
@@ -74,14 +78,15 @@ class Graph:
         return len(self._adj[v])
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
-    blocks: tuple       # tuple of frozensets of vertices
-    cut_vertices: frozenset
+class BlockDecomposition(Record):
+    _fields = __slots__ = ("blocks",        # tuple of frozensets of vertices
+                           "cut_vertices")  # frozenset
+
+    def __init__(self, blocks, cut_vertices):
+        self._init(blocks, cut_vertices)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Record):
     """A two-sided split of a connected graph at a cut vertex.
 
     ``graph`` is the relabeled graph: side one occupies 1..m with the cut
@@ -91,9 +96,10 @@ class Decomposition:
     relabeled order-preservingly, with the cut vertex's label on it.
     """
 
-    graph: "Graph"
-    m: int
-    sides: tuple
+    _fields = __slots__ = ("graph", "m", "sides")
+
+    def __init__(self, graph, m, sides):
+        self._init(graph, m, sides)
 
 
 # ---------------------------------------------------------------------------

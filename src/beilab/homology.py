@@ -10,13 +10,11 @@ of the generator supports (the lcm lattice), where all nonzero Betti
 degrees live.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb, gcd, isqrt
 
 from . import monomials as mono
+from ._record import Record
 
 DEFAULT_FACE_BUDGET = 5_000_000
 DEFAULT_LATTICE_BUDGET = 1_000_000
@@ -27,48 +25,55 @@ _CACHE_SIZE = 1 << 16
 _lemma_memo = {}    # (n, gens, topk) -> (bound, exact)
 
 
-@dataclass(frozen=True)
-class FieldSpec:
-    characteristic: int = 0
+class FieldSpec(Record):
+    _fields = __slots__ = ("characteristic",)
 
-    def __post_init__(self):
+    def __init__(self, characteristic=0):
         # below 2**31, trial division takes at most 46,340 steps
-        p = self.characteristic
+        p = characteristic
         if p and not (2 <= p < 1 << 31
                       and all(p % d for d in range(2, isqrt(p) + 1))):
             raise ValueError(f"{p} is neither 0 nor a prime below 2**31")
+        self._init(characteristic)
 
 
 QQ = FieldSpec(0)
 
 
-@dataclass(frozen=True)
-class Limits:
+class Limits(Record):
     """The field of one depth computation and the two budgets that bound
     its squeeze: lattice_budget the size of the lcm lattice, face_budget
     the faces its homology would enumerate on each restricted complex,
     charged before the complex is reduced to its strong core (also the
     Reisner face estimate)."""
-    field: FieldSpec = QQ
-    lattice_budget: int = DEFAULT_LATTICE_BUDGET
-    face_budget: int = DEFAULT_FACE_BUDGET
+
+    _fields = __slots__ = ("field", "lattice_budget", "face_budget")
+
+    def __init__(self, field=QQ, lattice_budget=DEFAULT_LATTICE_BUDGET,
+                 face_budget=DEFAULT_FACE_BUDGET):
+        self._init(field, lattice_budget, face_budget)
 
 
-@dataclass(frozen=True)
-class CMCertificate:
-    is_cm: bool | None             # None = indeterminate
-    # reisner_cm: (face mask, degree i); lab: ("unmixedness", T, c(T)),
-    # ("accessibility", T) or ("depth", depth, dim)
-    witness: tuple | None = None
+class CMCertificate(Record):
+    """is_cm is None when indeterminate. The witness is, from reisner_cm,
+    (face mask, degree i); from lab, ("unmixedness", T, c(T)),
+    ("accessibility", T) or ("depth", depth, dim)."""
+
+    _fields = __slots__ = ("is_cm", "witness")
+
+    def __init__(self, is_cm, witness=None):
+        self._init(is_cm, witness)
 
 
-@dataclass(frozen=True)
-class DepthResult:
-    depth: int | None              # None = indeterminate
-    # (W mask, degree i) attaining pd = nvars - depth
-    witness: tuple | None = None
-    # when indeterminate: the squeeze's certified (depth_lb, n - pd_lb)
-    depth_bounds: tuple | None = None
+class DepthResult(Record):
+    """depth is None when indeterminate. witness is the (W mask, degree i)
+    attaining pd = nvars - depth; depth_bounds, when indeterminate, the
+    squeeze's certified (depth_lb, n - pd_lb)."""
+
+    _fields = __slots__ = ("depth", "witness", "depth_bounds")
+
+    def __init__(self, depth, witness=None, depth_bounds=None):
+        self._init(depth, witness, depth_bounds)
 
 
 class BudgetExceeded(Exception):
@@ -175,10 +180,16 @@ def _strong_core(facets):
     the strong core (Barmak and Minian, Discrete Comput. Geom. 2012), or a
     single facet, a simplex, when the complex is strong collapsible.
     Facets that are not maximal can only hide a domination, never fake one.
+
+    The first deletion takes the maximal faces of all that is left. From
+    then on the facets form an antichain, so after deleting v only a facet
+    that held v can stop being maximal, and only inside a facet that did
+    not: two facets holding v still differ off v.
     """
     verts = 0
     for f in facets:
         verts |= f
+    antichain = False
     while len(facets) > 1:
         b = verts
         while b:
@@ -193,7 +204,14 @@ def _strong_core(facets):
         else:
             break       # no vertex is dominated
         verts &= ~v
-        facets = mono.max_antichain(f & ~v for f in facets)
+        if antichain:
+            others = [f for f in facets if not f & v]
+            shrunk = [f & ~v for f in facets if f & v]
+            facets = tuple(sorted(others + [
+                s for s in shrunk if not any(s & f == s for f in others)]))
+        else:
+            facets = mono.max_antichain(f & ~v for f in facets)
+            antichain = True
     return facets
 
 

@@ -5,13 +5,11 @@ side on independent computation paths: unmixedness always goes through the
 cutset lattice, Cohen-Macaulayness through the depth of the initial ideal.
 """
 
-from __future__ import annotations
-
 import functools
 import json
-from dataclasses import dataclass
 
 from . import cutsets as cs
+from ._record import Record
 from .binomial_edge import initial_ideal
 from .graphs import (add_whisker, blocks, block_with_whiskers, cut_vertices,
                      decompose_at, delete_vertices, emit_graph6, girth,
@@ -22,23 +20,21 @@ from .homology import CMCertificate, Limits, hochster_depth
 from .homology import reisner_cm  # noqa: F401
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
-    graph6: str
-    n: int
-    girth: object                 # int or INFINITY
-    blocks: tuple
-    cut_vertices: tuple
-    cutset_count: int
-    unmixed: bool
-    unmixed_witness: tuple | None
-    accessible: bool
-    accessible_witness: tuple | None
-    cm: bool | None               # None = indeterminate
-    cm_witness: tuple | None
-    field_char: int
-    depth: int | None
-    dim: int
+class AnalysisReport(Record):
+    _fields = __slots__ = (
+        "graph6", "n",
+        "girth",            # int or INFINITY
+        "blocks", "cut_vertices", "cutset_count",
+        "unmixed", "unmixed_witness", "accessible", "accessible_witness",
+        "cm",               # None = indeterminate
+        "cm_witness", "field_char", "depth", "dim")
+
+    def __init__(self, graph6, n, girth, blocks, cut_vertices, cutset_count,
+                 unmixed, unmixed_witness, accessible, accessible_witness,
+                 cm, cm_witness, field_char, depth, dim):
+        self._init(graph6, n, girth, blocks, cut_vertices, cutset_count,
+                   unmixed, unmixed_witness, accessible, accessible_witness,
+                   cm, cm_witness, field_char, depth, dim)
 
     def consistency_violations(self):
         """CM implies accessible implies-unmixed sanity flags (engine bugs)."""
@@ -52,16 +48,19 @@ class AnalysisReport:
         return out
 
 
-@dataclass(frozen=True)
-class TheoremVerdict:
-    theorem_id: str
-    corpus: str
-    instances: int
-    violations: tuple = ()             # (graph6, detail) pairs
-    hypothesis_relevant: tuple = ()    # candidate counterexamples to the open
-                                       # hypothesis, not engine failures
-    findings: tuple = ()               # search outputs (expected empty)
-    indeterminate: int = 0             # answers out of budget, or over a cap
+class TheoremVerdict(Record):
+    """violations are (graph6, detail) pairs; hypothesis_relevant the
+    candidate counterexamples to the open hypothesis, not engine failures;
+    findings search outputs (expected empty); indeterminate counts the
+    answers out of budget, or over a cap."""
+
+    _fields = __slots__ = ("theorem_id", "corpus", "instances", "violations",
+                           "hypothesis_relevant", "findings", "indeterminate")
+
+    def __init__(self, theorem_id, corpus, instances, violations=(),
+                 hypothesis_relevant=(), findings=(), indeterminate=0):
+        self._init(theorem_id, corpus, instances, violations,
+                   hypothesis_relevant, findings, indeterminate)
 
     def clean(self):
         return not self.violations
@@ -182,13 +181,16 @@ def _jsonable(x):
 # ---------------------------------------------------------------------------
 # theorem verifiers
 
-@dataclass
 class _CMTally:
     """cm_check(g).is_cm in one verifier run, within the run's limits;
     counts the None answers, which the run's verdict reports as
     indeterminate."""
-    limits: Limits
-    indeterminate: int = 0
+
+    __slots__ = ("limits", "indeterminate")
+
+    def __init__(self, limits, indeterminate=0):
+        self.limits = limits
+        self.indeterminate = indeterminate
 
     def __call__(self, g):
         is_cm = cm_check(g, self.limits).is_cm
@@ -400,11 +402,12 @@ def hypothesis_search(corpus, limits=Limits(), corpus_name=""):
                        findings=tuple(findings))
 
 
-@dataclass(frozen=True)
-class DepthEqualityRecord:
-    lhs: int | None
-    rhs: int | None
-    equal: bool | None     # None = indeterminate
+class DepthEqualityRecord(Record):
+    _fields = __slots__ = ("lhs", "rhs",
+                           "equal")     # None = indeterminate
+
+    def __init__(self, lhs, rhs, equal):
+        self._init(lhs, rhs, equal)
 
 
 def depth_equality_check(g, v, limits=Limits()):
@@ -425,12 +428,14 @@ def neighborhood_cutset_exists(g, v):
     return any(target <= t.vertices for t in cs.enumerate_cutsets(gv))
 
 
-@dataclass(frozen=True)
-class DepthQuestionFilter:
-    side1_has_cutset: bool
-    side2_has_cutset: bool
-    v_free_in_side1: bool
-    v_free_in_side2: bool
+class DepthQuestionFilter(Record):
+    _fields = __slots__ = ("side1_has_cutset", "side2_has_cutset",
+                           "v_free_in_side1", "v_free_in_side2")
+
+    def __init__(self, side1_has_cutset, side2_has_cutset, v_free_in_side1,
+                 v_free_in_side2):
+        self._init(side1_has_cutset, side2_has_cutset, v_free_in_side1,
+                   v_free_in_side2)
 
     @property
     def satisfied(self):

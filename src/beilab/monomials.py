@@ -5,9 +5,7 @@ antichain of its minimal generators, canonically sorted. For a graph on n
 vertices the universe has 2n variables: bit i-1 is x_i, bit n+i-1 is y_i.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from ._record import Record
 
 
 def xvar(i, n):
@@ -46,12 +44,14 @@ def max_antichain(masks):
     return tuple(sorted(out))
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(Record):
     """Square-free monomial ideal with canonical minimal generators."""
 
-    nvars: int
-    gens: tuple  # sorted antichain of masks
+    _fields = __slots__ = ("nvars",
+                           "gens")  # sorted antichain of masks
+
+    def __init__(self, nvars, gens):
+        self._init(nvars, gens)
 
     @staticmethod
     def make(nvars, masks):
@@ -114,42 +114,45 @@ def minimal_primes(ideal):
     that meets the cover in that variable alone. A variable that loses its
     last private generator never regains it as the cover grows, so every
     cover the search completes is minimal and none is missed.
+
+    Sets of generators are bit masks over their indices: ``holders[x]``
+    holds the generators x divides, ``uncov`` those the cover misses, and
+    ``crit`` one mask per cover variable, its private generators. Adding x
+    takes holders[x] out of each of them, and gives x the missed
+    generators it divides.
     """
     if ideal.is_unit():
         raise ValueError("unit ideal has no minimal primes")
     gens = sorted(ideal.gens, key=int.bit_count)
+    holders = {}
+    for k, g in enumerate(gens):
+        while g:
+            low = g & -g
+            holders[low] = holders.get(low, 0) | 1 << k
+            g ^= low
     results = []
 
-    def all_private(cover):
-        private = 0
-        for h in gens:
-            meet = h & cover
-            if not meet & (meet - 1):   # empty or a single variable
-                private |= meet
-        return private == cover
-
-    def search(idx, cover, banned):
-        for g_i in range(idx, len(gens)):
-            g = gens[g_i]
-            if g & cover:
-                continue
-            free = g & ~banned
-            while free:
-                low = free & -free
-                new = cover | low
-                if all_private(new):
-                    search(g_i + 1, new, banned)
-                banned |= low
-                free ^= low
+    def search(cover, banned, uncov, crit):
+        if not uncov:
+            results.append(cover)
             return
-        results.append(cover)
+        # the first generator the cover misses
+        free = gens[(uncov & -uncov).bit_length() - 1] & ~banned
+        while free:
+            low = free & -free
+            hold = holders[low]
+            kept = [c & ~hold for c in crit]
+            if all(kept):
+                kept.append(uncov & hold)
+                search(cover | low, banned, uncov & ~hold, kept)
+            banned |= low
+            free ^= low
 
-    search(0, 0, 0)
+    search(0, 0, (1 << len(gens)) - 1, [])
     return tuple(sorted(results))
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
+class SimplicialComplex(Record):
     """Facet-represented complex on vertices 0..nverts-1 (bit positions).
 
     Conventions: ``facets == ()`` is the void complex (no faces at all);
@@ -157,8 +160,11 @@ class SimplicialComplex:
     empty set.
     """
 
-    nverts: int
-    facets: tuple  # antichain of masks, sorted
+    _fields = __slots__ = ("nverts",
+                           "facets")    # antichain of masks, sorted
+
+    def __init__(self, nverts, facets):
+        self._init(nverts, facets)
 
     @staticmethod
     def make(nverts, masks):

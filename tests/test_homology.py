@@ -141,6 +141,38 @@ def _complex_with_dominated_vertices(rng):
             for f in facets]
 
 
+def strong_core_by_rescan(facets):
+    """_strong_core's former loop, the reference for its incremental one:
+    the maximal faces of every facet are taken anew after each deletion."""
+    verts = reduce(or_, facets, 0)
+    while len(facets) > 1:
+        b = verts
+        while b:
+            v = b & -b
+            common = verts
+            for f in facets:
+                if f & v:
+                    common &= f
+            if common != v:
+                break
+            b &= b - 1
+        else:
+            break
+        verts &= ~v
+        facets = max_antichain(f & ~v for f in facets)
+    return facets
+
+
+def test_strong_core_matches_the_rescan():
+    rng = random.Random(2012)
+    for _ in range(400):
+        facets = _complex_with_dominated_vertices(rng)
+        # as given (not always an antichain, as reduced_ranks_from_facets
+        # may pass it), and as its maximal faces
+        for given in (tuple(sorted(set(facets))), max_antichain(facets)):
+            assert _strong_core(given) == strong_core_by_rescan(given)
+
+
 def test_core_keeps_every_rank_of_the_face_oracle():
     rng = random.Random(6174)
     collapsed = partial = 0

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from beilab.binomial_edge import initial_ideal
 from beilab.corpus import all_graphs
+from beilab.lab import whiskered_sides
 from beilab.monomials import (MonomialIdeal, SimplicialComplex, add_ideals,
                               colon, intersect, max_antichain,
                               minimal_primes, stanley_reisner, var_name,
@@ -69,8 +70,40 @@ def test_sum_and_intersection_membership(ga, gb):
 
 
 def minimal_primes_by_faces(ideal):
-    """Minimal primes recomputed by brute-force face enumeration: the
-    complements of the maximal generator-free subsets of the universe."""
+    """Minimal primes recomputed from every face of the Stanley-Reisner
+    complex: the complements of its facets, the generator-free sets that
+    no variable extends. Each face is grown once from the empty face by
+    variables above its largest; ``addable`` holds the variables x with
+    face + x still free, and a face is a facet when that set is empty."""
+    full = (1 << ideal.nvars) - 1
+    holding = {}    # variable -> the generators it divides
+    for g in ideal.gens:
+        for b in range(ideal.nvars):
+            if g >> b & 1:
+                holding.setdefault(1 << b, []).append(g)
+    facets = []
+    stack = [(0, full & ~sum(g for g in ideal.gens if not g & (g - 1)))]
+    while stack:
+        face, addable = stack.pop()
+        if not addable:
+            facets.append(face)
+            continue
+        above = addable & ~((1 << face.bit_length()) - 1)
+        while above:
+            x = above & -above
+            above ^= x
+            child = face | x
+            lost = x    # x, and each y with a generator inside child + y
+            for g in holding.get(x, ()):
+                rest = g & ~child
+                if not rest & (rest - 1):
+                    lost |= rest
+            stack.append((child, addable & ~lost))
+    return tuple(sorted(full & ~f for f in facets))
+
+
+def primes_by_every_mask(ideal):
+    """The same, from a scan of every subset of the variables."""
     full = (1 << ideal.nvars) - 1
     free = [w for w in range(full + 1)
             if not any(g & w == g for g in ideal.gens)]
@@ -91,7 +124,9 @@ def test_minimal_primes_example():
 @settings(max_examples=80, deadline=None)
 @given(masks)
 def test_minimal_primes_match_face_oracle(gens):
-    _assert_exact_primes(MonomialIdeal.make(8, gens))
+    i = MonomialIdeal.make(8, gens)
+    _assert_exact_primes(i)
+    assert minimal_primes_by_faces(i) == primes_by_every_mask(i)
 
 
 @settings(max_examples=80, deadline=None)
@@ -149,12 +184,21 @@ def _random_ideal(rng, nvars):
 
 
 def test_minimal_primes_exact_on_graph_initial_ideals():
-    for k in range(1, 6):
+    for k in range(1, 7):
         for g in all_graphs(k):
             _assert_exact_primes(initial_ideal(g))
 
 
+def test_minimal_primes_exact_on_the_example_ideals(fig):
+    # the ideals depth-fig12 builds: the example and its whiskered sides
+    # at the cut vertices 6, 8 and 11, on up to 24 variables
+    graphs = [fig] + [side for v in (6, 8, 11)
+                      for side in whiskered_sides(fig, v)]
+    for g in dict.fromkeys(graphs):
+        _assert_exact_primes(initial_ideal(g))
+
+
 def test_minimal_primes_exact_on_seeded_random_ideals():
     rng = random.Random(20140101)
-    for _ in range(150):
-        _assert_exact_primes(_random_ideal(rng, rng.randint(1, 12)))
+    for _ in range(300):
+        _assert_exact_primes(_random_ideal(rng, rng.randint(1, 14)))
