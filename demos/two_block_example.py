@@ -9,7 +9,7 @@ gluing of two paths serves as the control where the formula does hold.
 Run: python3 demos/two_block_example.py   (about 0.2 s on a 2-core Intel Xeon)
 """
 
-from beilab import (Graph, analyze, depth_equality_check,
+from beilab import (Graph, analyze, cut_vertices, depth_equality_check,
                     depth_question_filter, glue_at, path_graph,
                     whiskered_sides)
 from beilab.cutsets import is_unmixed
@@ -22,7 +22,8 @@ EDGES = [(1, 2), (2, 3), (2, 4), (2, 6), (3, 5), (3, 6), (4, 5), (4, 8),
 def main():
     g = Graph.from_edges(12, EDGES)
     r = analyze(g)
-    print(f"n={r.n}  girth={r.girth}  cut vertices={r.cut_vertices}")
+    cuts = tuple(sorted(cut_vertices(g)))
+    print(f"n={r.n}  girth={r.girth}  cut vertices={cuts}")
     print(f"unmixed={r.unmixed}  witness cutset={r.unmixed_witness}")
     print(f"cm={r.cm}  depth={r.depth}  dim={r.dim}")
 

@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .binomial_edge import DEFAULT_PATH_CAP, initial_ideal
 from .graphs import GraphParseError, parse_edge_list, parse_graph6
@@ -164,6 +163,10 @@ def _analyze_one(g, limits, max_n):
 
 
 def cmd_analyze(args, out=sys.stdout):
+    # here, not at module level: it loads logging, and no other command
+    # starts a pool
+    from concurrent.futures import ThreadPoolExecutor
+
     limits = _limits(args)
     graphs = _read_graphs(args.input)
     if graphs is None:

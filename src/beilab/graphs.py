@@ -188,7 +188,9 @@ def emit_graph6(g):
 
 
 def parse_edge_list(text):
-    """Parse the 'n m' / 'u v' edge-list text format."""
+    """Parse the 'n m' / 'u v' edge-list text format. An edge may come in
+    either order; an endpoint outside 1..n, a loop or a repeated edge is an
+    error that names its line."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise GraphParseError("line 1: empty edge-list input")
@@ -203,7 +205,7 @@ def parse_edge_list(text):
         raise GraphParseError(f"line 1: negative 'n m' ({n} {m})")
     if len(lines) - 1 != m:
         raise GraphParseError(f"expected {m} edge lines, got {len(lines) - 1}")
-    edges = []
+    line_of = {}    # canonical edge -> the line that gave it
     for k, ln in enumerate(lines[1:], start=2):
         parts = ln.split()
         if len(parts) != 2:
@@ -212,10 +214,16 @@ def parse_edge_list(text):
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise GraphParseError(f"line {k}: expected integers 'u v'") from None
-        if not (1 <= u < v <= n):
+        if not (1 <= u <= n and 1 <= v <= n):
             raise GraphParseError(f"line {k}: edge ({u},{v}) out of range")
-        edges.append((u, v))
-    return Graph.from_edges(n, edges)
+        if u == v:
+            raise GraphParseError(f"line {k}: loop at vertex {u}")
+        e = (min(u, v), max(u, v))
+        if e in line_of:
+            raise GraphParseError(
+                f"line {k}: edge ({u},{v}) repeats line {line_of[e]}")
+        line_of[e] = k
+    return Graph(n, frozenset(line_of))
 
 
 # ---------------------------------------------------------------------------

@@ -24,28 +24,16 @@ class AnalysisReport(Record):
     _fields = __slots__ = (
         "graph6", "n",
         "girth",            # int or INFINITY
-        "blocks", "cut_vertices", "cutset_count",
         "unmixed", "unmixed_witness", "accessible", "accessible_witness",
         "cm",               # None = indeterminate
         "cm_witness", "field_char", "depth", "dim")
 
-    def __init__(self, graph6, n, girth, blocks, cut_vertices, cutset_count,
-                 unmixed, unmixed_witness, accessible, accessible_witness,
-                 cm, cm_witness, field_char, depth, dim):
-        self._init(graph6, n, girth, blocks, cut_vertices, cutset_count,
-                   unmixed, unmixed_witness, accessible, accessible_witness,
-                   cm, cm_witness, field_char, depth, dim)
-
-    def consistency_violations(self):
-        """CM implies accessible implies-unmixed sanity flags (engine bugs)."""
-        out = []
-        if self.cm and not self.unmixed:
-            out.append("cm-but-not-unmixed")
-        if self.cm and not self.accessible:
-            out.append("cm-but-not-accessible")
-        if self.accessible and not self.unmixed:
-            out.append("accessible-but-not-unmixed")
-        return out
+    def __init__(self, graph6, n, girth, unmixed, unmixed_witness,
+                 accessible, accessible_witness, cm, cm_witness, field_char,
+                 depth, dim):
+        self._init(graph6, n, girth, unmixed, unmixed_witness, accessible,
+                   accessible_witness, cm, cm_witness, field_char, depth,
+                   dim)
 
 
 class TheoremVerdict(Record):
@@ -70,9 +58,9 @@ class TheoremVerdict(Record):
             "theorem": self.theorem_id,
             "corpus": self.corpus,
             "instances": self.instances,
-            "violations": list(self.violations),
-            "hypothesis_relevant": list(self.hypothesis_relevant),
-            "findings": list(self.findings),
+            "violations": self.violations,
+            "hypothesis_relevant": self.hypothesis_relevant,
+            "findings": self.findings,
             "indeterminate": self.indeterminate,
         }, sort_keys=True, separators=(",", ":"))
 
@@ -123,18 +111,13 @@ def _depth(g, limits):
 
 
 def analyze(g, limits=Limits()):
-    cuts = cs.enumerate_cutsets(g)
     unm = cs.is_unmixed(g)
     acc = cs.is_accessible(g)
     cert = cm_check(g, limits)
-    bd = blocks(g)
     return AnalysisReport(
         graph6=emit_graph6(g),
         n=g.n,
         girth=girth(g),
-        blocks=tuple(tuple(sorted(b)) for b in bd.blocks),
-        cut_vertices=tuple(sorted(bd.cut_vertices)),
-        cutset_count=len(cuts),
         unmixed=unm.unmixed,
         unmixed_witness=(tuple(sorted(unm.witness.vertices))
                          if unm.witness else None),
@@ -160,11 +143,11 @@ def report_json(rep):
         "field": rep.field_char,
         "depth": rep.depth,
         "dim": rep.dim,
+        # witnesses are tuples or None; json encodes a tuple as an array
         "witnesses": {
-            "unmixed": list(rep.unmixed_witness) if rep.unmixed_witness else None,
-            "accessible": (list(rep.accessible_witness)
-                           if rep.accessible_witness else None),
-            "cm": _jsonable(rep.cm_witness),
+            "unmixed": rep.unmixed_witness,
+            "accessible": rep.accessible_witness,
+            "cm": rep.cm_witness,
         },
     }
     if rep.cm is None or rep.depth is None:
@@ -172,57 +155,55 @@ def report_json(rep):
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
-def _jsonable(x):
-    if isinstance(x, tuple):
-        return [_jsonable(v) for v in x]
-    return x
-
-
 # ---------------------------------------------------------------------------
 # theorem verifiers
 
-class _CMTally:
-    """cm_check(g).is_cm in one verifier run, within the run's limits;
-    counts the None answers, which the run's verdict reports as
+class _Run:
+    """One verifier run within its limits: its instance count, the lists
+    its verdict reports, and the answers it could not give, counted as
     indeterminate."""
 
-    __slots__ = ("limits", "indeterminate")
+    __slots__ = ("limits", "instances", "violations", "hypothesis_relevant",
+                 "findings", "indeterminate")
 
-    def __init__(self, limits, indeterminate=0):
+    def __init__(self, limits):
         self.limits = limits
-        self.indeterminate = indeterminate
+        self.instances = self.indeterminate = 0
+        self.violations, self.hypothesis_relevant, self.findings = [], [], []
 
-    def __call__(self, g):
+    def cm(self, g):
+        """cm_check(g).is_cm within the run's limits."""
         is_cm = cm_check(g, self.limits).is_cm
         self.indeterminate += is_cm is None
         return is_cm
 
-    def verdict(self, *args, **kw):
-        return TheoremVerdict(*args, indeterminate=self.indeterminate, **kw)
+    def splits(self, g, cuts):
+        """(v, decompose_at(g, v)) for every cut vertex v in ``cuts``, in
+        order; None for a disconnected graph with a cut vertex, which
+        decompose_at does not split, counted as one indeterminate answer."""
+        if cuts and not is_connected(g):
+            self.indeterminate += 1
+            return None
+        return [(v, decompose_at(g, v)) for v in sorted(cuts)]
 
-
-def _two_sided_splits(g, cuts):
-    """(v, decompose_at(g, v)) for every cut vertex v in ``cuts``, in order;
-    None for a disconnected graph with a cut vertex, which decompose_at
-    does not split: a verifier counts it as one indeterminate answer."""
-    if cuts and not is_connected(g):
-        return None
-    return [(v, decompose_at(g, v)) for v in sorted(cuts)]
+    def verdict(self, theorem_id, corpus_name):
+        return TheoremVerdict(theorem_id, corpus_name, self.instances,
+                              tuple(self.violations),
+                              tuple(self.hypothesis_relevant),
+                              tuple(self.findings), self.indeterminate)
 
 
 def verify_prop_saturation(corpus, limits=Limits(), corpus_name=""):
     """CM(J_G) implies CM(J_{G_v}) for every vertex v."""
-    cm = _CMTally(limits)
-    violations = []
-    count = 0
+    run = _Run(limits)
     for g in corpus:
-        if not cm(g):
+        if not run.cm(g):
             continue
         for v in g.vertices():
-            count += 1
-            if cm(saturate(g, v)) is False:
-                violations.append((emit_graph6(g), f"v={v}"))
-    return cm.verdict("saturation", corpus_name, count, tuple(violations))
+            run.instances += 1
+            if run.cm(saturate(g, v)) is False:
+                run.violations.append((emit_graph6(g), f"v={v}"))
+    return run.verdict("saturation", corpus_name)
 
 
 def verify_deletion_lemmas(corpus, limits=Limits(), corpus_name=""):
@@ -237,39 +218,37 @@ def verify_deletion_lemmas(corpus, limits=Limits(), corpus_name=""):
     Plus, for non-cut vertices: unmixed(G_v) and unmixed(G - v) =>
     unmixed(G_v - v).
     """
-    cm = _CMTally(limits)
-    violations = []
-    count = 0
+    run = _Run(limits)
+    violations = run.violations
     for g in corpus:
         cuts = cut_vertices(g)
-        splits = _two_sided_splits(g, cuts)
+        splits = run.splits(g, cuts)
         if splits is None:
-            cm.indeterminate += 1
             continue
         g6 = emit_graph6(g)
         g_unmixed = cs.is_unmixed(g).unmixed
-        g_cm = cm(g)
+        g_cm = run.cm(g)
         for v, dec in splits:
-            count += 1
+            run.instances += 1
             nonfree = not any(is_free_vertex(*side) for side in dec.sides)
             del_v, _ = delete_vertices(g, [v])
             if g_unmixed and nonfree:
                 if not cs.is_unmixed(del_v).unmixed:
                     violations.append((g6, f"lem-deletion-unmixed v={v}"))
             if g_cm:
-                del_cm = cm(del_v)
+                del_cm = run.cm(del_v)
                 gv = saturate(g, v)
-                gv_del_cm = cm(delete_vertices(gv, [v])[0])
+                gv_del_cm = run.cm(delete_vertices(gv, [v])[0])
                 if nonfree:
                     if del_cm is False:
                         violations.append((g6, f"lem-deletion-cm v={v}"))
-                    if cm(gv) is False:
+                    if run.cm(gv) is False:
                         violations.append((g6, f"cor-saturation-cm v={v}"))
                     if gv_del_cm is False:
                         violations.append((g6, f"cor-sat-deletion-cm v={v}"))
                 # CM of both sides' saturations, unconditionally under CM(G)
                 for k, side in enumerate(dec.sides, start=1):
-                    if cm(saturate(*side)) is False:
+                    if run.cm(saturate(*side)) is False:
                         violations.append(
                             (g6, f"prop-side-saturation g{k} v={v}"))
                 if del_cm and gv_del_cm is False:
@@ -278,14 +257,14 @@ def verify_deletion_lemmas(corpus, limits=Limits(), corpus_name=""):
         for v in g.vertices():
             if v in cuts or g.degree(v) == 0:
                 continue
-            count += 1
+            run.instances += 1
             gv = saturate(g, v)
             del_v, _ = delete_vertices(g, [v])
             if cs.is_unmixed(gv).unmixed and cs.is_unmixed(del_v).unmixed:
                 gv_del, _ = delete_vertices(gv, [v])
                 if not cs.is_unmixed(gv_del).unmixed:
                     violations.append((g6, f"lem-sat-del-unmixed v={v}"))
-    return cm.verdict("deletion", corpus_name, count, tuple(violations))
+    return run.verdict("deletion", corpus_name)
 
 
 def whiskered_sides(g, v):
@@ -306,100 +285,90 @@ def verify_gluing_theorems(corpus, limits=Limits(), corpus_name=""):
     failures of the converse are reported as hypothesis-relevant, never as
     violations.
     """
-    cm = _CMTally(limits)
-    violations = []
-    hypo = []
-    count = 0
+    run = _Run(limits)
     for g in corpus:
         bd = blocks(g)
         if not bd.cut_vertices:
             continue
-        splits = _two_sided_splits(g, bd.cut_vertices)
+        splits = run.splits(g, bd.cut_vertices)
         if splits is None:
-            cm.indeterminate += 1
             continue
         g6 = emit_graph6(g)
-        g_cm = cm(g)
+        g_cm = run.cm(g)
         for v, dec in splits:
-            count += 1
+            run.instances += 1
             w1, w2 = _whiskered(dec)
-            sides_cm = cm(w1) and cm(w2)    # None when not known
+            sides_cm = run.cm(w1) and run.cm(w2)    # None when not known
             if g_cm and sides_cm is False:
-                violations.append((g6, f"forward-whisker v={v}"))
+                run.violations.append((g6, f"forward-whisker v={v}"))
             if sides_cm and cs.is_unmixed(g).unmixed:
                 if g_cm is False:
-                    hypo.append((g6, f"converse-whisker v={v}"))
+                    run.hypothesis_relevant.append(
+                        (g6, f"converse-whisker v={v}"))
         if g_cm:
             for b in bd.blocks:
-                count += 1
+                run.instances += 1
                 bw = block_with_whiskers(g, b, bd.cut_vertices & b)
-                if cm(bw) is False:
-                    violations.append((g6, f"block-whiskers B={sorted(b)}"))
-    return cm.verdict("gluing", corpus_name, count, tuple(violations),
-                       hypothesis_relevant=tuple(hypo))
+                if run.cm(bw) is False:
+                    run.violations.append(
+                        (g6, f"block-whiskers B={sorted(b)}"))
+    return run.verdict("gluing", corpus_name)
 
 
 def verify_blocks_corollary(corpus, limits=Limits(), corpus_name=""):
     """Converse blocks corollary: unmixed(G) and all blocks-with-whiskers CM
     => CM(G); conditional, so failures are hypothesis-relevant."""
-    cm = _CMTally(limits)
-    hypo = []
-    count = 0
+    run = _Run(limits)
     for g in corpus:
         if not cs.is_unmixed(g).unmixed:
             continue
         bd = blocks(g)
         if not bd.cut_vertices:
             continue
-        count += 1
-        if all(cm(block_with_whiskers(g, b, bd.cut_vertices & b))
+        run.instances += 1
+        if all(run.cm(block_with_whiskers(g, b, bd.cut_vertices & b))
                for b in bd.blocks):
-            if cm(g) is False:
-                hypo.append((emit_graph6(g), "blocks-converse"))
-    return cm.verdict("blocks", corpus_name, count, (),
-                       hypothesis_relevant=tuple(hypo))
+            if run.cm(g) is False:
+                run.hypothesis_relevant.append(
+                    (emit_graph6(g), "blocks-converse"))
+    return run.verdict("blocks", corpus_name)
 
 
 def verify_girth_theorem(corpus, limits=Limits(), corpus_name=""):
     """Every CM graph, and every accessible graph, has girth in {3,4,inf}."""
-    cm = _CMTally(limits)
-    violations = []
-    count = 0
+    run = _Run(limits)
     for g in corpus:
-        count += 1
+        run.instances += 1
         gi = girth(g)
         ok = gi in (3, 4, INFINITY)
         if cs.is_accessible(g).accessible and not ok:
-            violations.append((emit_graph6(g), f"accessible-girth={gi}"))
-        if cm(g) and not ok:
-            violations.append((emit_graph6(g), f"cm-girth={gi}"))
-    return cm.verdict("girth", corpus_name, count, tuple(violations))
+            run.violations.append((emit_graph6(g), f"accessible-girth={gi}"))
+        if run.cm(g) and not ok:
+            run.violations.append((emit_graph6(g), f"cm-girth={gi}"))
+    return run.verdict("girth", corpus_name)
 
 
 def hypothesis_search(corpus, limits=Limits(), corpus_name=""):
     """Scan for counterexamples to the open deletion hypothesis and for CM
     girth-4 graphs carrying a long induced cycle. Findings are search
     outputs; an empty result is the expected (reportable) outcome."""
-    cm = _CMTally(limits)
-    findings = []
-    count = 0
+    run = _Run(limits)
     for g in corpus:
         g6 = emit_graph6(g)
-        cm_g = functools.cache(lambda g=g: cm(g))
+        cm_g = functools.cache(lambda g=g: run.cm(g))
         for v in sorted(cut_vertices(g)):
-            count += 1
+            run.instances += 1
             del_v, _ = delete_vertices(g, [v])
             if not cs.is_unmixed(del_v).unmixed:
                 continue
-            if cm_g() and cm(del_v) is False:
-                findings.append((g6, f"hypothesis-counterexample v={v}"))
+            if cm_g() and run.cm(del_v) is False:
+                run.findings.append((g6, f"hypothesis-counterexample v={v}"))
         if girth(g) == 4:
-            count += 1
+            run.instances += 1
             if any(l >= 5 for l in induced_cycle_lengths(g)):
                 if cm_g():
-                    findings.append((g6, "cm-girth4-long-induced-cycle"))
-    return cm.verdict("hypothesis", corpus_name, count, (),
-                       findings=tuple(findings))
+                    run.findings.append((g6, "cm-girth4-long-induced-cycle"))
+    return run.verdict("hypothesis", corpus_name)
 
 
 class DepthEqualityRecord(Record):
@@ -464,25 +433,20 @@ def verify_depth_equality(corpus, limits=Limits(), corpus_name=""):
     """Survey the additive depth formula at every cut vertex. The equality
     is known to fail in general, so inequalities are findings, not
     violations; indeterminate (budget) outcomes are counted apart."""
-    findings = []
-    indeterminate = 0
-    count = 0
+    run = _Run(limits)
     for g in corpus:
-        splits = _two_sided_splits(g, cut_vertices(g))
+        splits = run.splits(g, cut_vertices(g))
         if splits is None:
-            indeterminate += 1
             continue
         for v, _ in splits:
-            count += 1
+            run.instances += 1
             rec = depth_equality_check(g, v, limits)
             if rec.equal is None:
-                indeterminate += 1
+                run.indeterminate += 1
             elif not rec.equal:
-                findings.append((emit_graph6(g),
-                                 f"v={v} lhs={rec.lhs} rhs={rec.rhs}"))
-    return TheoremVerdict("depth-equality", corpus_name, count, (),
-                          findings=tuple(findings),
-                          indeterminate=indeterminate)
+                run.findings.append((emit_graph6(g),
+                                     f"v={v} lhs={rec.lhs} rhs={rec.rhs}"))
+    return run.verdict("depth-equality", corpus_name)
 
 
 VERIFIERS = {

@@ -70,10 +70,9 @@ class MonomialIdeal(Record):
     def contains(self, mask):
         return any(g & mask == g for g in self.gens)
 
-    def to_text(self, n=None):
+    def to_text(self):
         """One generator per line as sorted variable names ('x1*y2')."""
-        n = n if n is not None else self.nvars // 2
-        return "\n".join(mask_name(g, n) for g in self.gens)
+        return "\n".join(mask_name(g, self.nvars // 2) for g in self.gens)
 
 
 def colon(ideal, mask):

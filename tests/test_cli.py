@@ -63,6 +63,12 @@ def test_analyze_parse_error_names_line():
     assert "line 2" in err
 
 
+def test_analyze_repeated_edge_is_a_parse_error():
+    code, out, err = run_cli(["analyze", "-"], stdin="2 2\n1 2\n2 1\n")
+    assert code == 1 and out == ""
+    assert "line 3: edge (2,1) repeats line 2" in err
+
+
 def test_parse_input_graph6_stream():
     # blank lines are skipped, a header is tolerated, and an error names
     # the record's line in the original text

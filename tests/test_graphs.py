@@ -62,8 +62,19 @@ def test_parse_edge_list_and_errors():
     assert g == path_graph(3)
     with pytest.raises(GraphParseError):
         parse_edge_list("3 2\n1 2\n")          # missing edge line
-    with pytest.raises(GraphParseError):
+    with pytest.raises(GraphParseError, match="^line 2: .* out of range$"):
         parse_edge_list("3 1\n1 4\n")          # vertex out of range
+    with pytest.raises(GraphParseError, match="^line 2: .* out of range$"):
+        parse_edge_list("3 1\n0 2\n")
+    # either order of an edge is the same edge
+    assert parse_edge_list("3 2\n2 1\n3 2\n") == path_graph(3)
+    with pytest.raises(GraphParseError, match="^line 3: loop at vertex 1$"):
+        parse_edge_list("2 2\n1 2\n1 1\n")
+    # a repeated edge, in either order, would leave fewer than m edges
+    for again in ("1 2", "2 1"):
+        with pytest.raises(GraphParseError,
+                           match=r"^line 3: edge \(\d,\d\) repeats line 2$"):
+            parse_edge_list(f"2 2\n1 2\n{again}\n")
     with pytest.raises(GraphParseError, match="line 2"):
         parse_edge_list("3 1\n1 x\n")          # non-integer vertex
     with pytest.raises(GraphParseError, match="line 1"):

@@ -42,24 +42,22 @@ def verify_identification(corpus_pairs, limits=Limits(), corpus_name=""):
     """Composite gluing corollary: for CM graphs G, H with cut vertices v, w
     whose deletions are unmixed, every cross-gluing F_ij is CM (conditional,
     so a failure is hypothesis-relevant)."""
-    cm = lab._CMTally(limits)
-    hypo = []
-    count = 0
+    run = lab._Run(limits)
     for (g, v), (h, w) in corpus_pairs:
-        if not (cm(g) and cm(h)):
+        if not (run.cm(g) and run.cm(h)):
             continue
         dgv, _ = delete_vertices(g, [v])
         dhw, _ = delete_vertices(h, [w])
         if not (lab.cs.is_unmixed(dgv).unmixed
                 and lab.cs.is_unmixed(dhw).unmixed):
             continue
-        count += 1
+        run.instances += 1
         for label, f, is_cm in glue_pairs_cm(g, v, h, w, limits):
-            cm.indeterminate += is_cm is None
+            run.indeterminate += is_cm is None
             if is_cm is False:
-                hypo.append((emit_graph6(f), f"{label} not CM"))
-    return cm.verdict("identification", corpus_name, count, (),
-                      hypothesis_relevant=tuple(hypo))
+                run.hypothesis_relevant.append(
+                    (emit_graph6(f), f"{label} not CM"))
+    return run.verdict("identification", corpus_name)
 
 
 def test_cm_check_classics():
@@ -82,8 +80,29 @@ def test_analyze_report_fields(fig):
     assert r.depth == r.dim == 4
     assert r.girth == float("inf")
     r = lab.analyze(fig)
-    assert r.girth == 3 and r.cut_vertices == (2, 6, 8, 11)
-    assert not r.consistency_violations()
+    assert r.girth == 3 and lab.cut_vertices(fig) == {2, 6, 8, 11}
+    assert (r.unmixed, r.accessible, r.cm) == (False, False, False)
+
+
+def test_depth_and_cm_agree_with_their_bounds_and_fields():
+    # labeled graphs beyond the connected n <= 7 corpus, disconnected ones
+    # included: depth <= dim, and GF(32003) and Q give one depth; CM
+    # implies accessible (Bolognini, Macchia and Strazzanti, J. Algebraic
+    # Combin. 2022), which implies unmixed
+    checked = 0
+    for g in random_graphs_any(9, 40, n_max=8):
+        depth = lab.depth_JG(g).depth
+        if depth is None:
+            continue
+        checked += 1
+        assert depth <= lab.dim_JG(g), emit_graph6(g)
+        assert lab.depth_JG(g, Limits(FieldSpec(32003))).depth == depth
+        accessible = lab.cs.is_accessible(g).accessible
+        if cm_by_depth(g):
+            assert accessible, emit_graph6(g)
+        if accessible:
+            assert lab.cs.is_unmixed(g).unmixed, emit_graph6(g)
+    assert checked > 30
 
 
 def test_report_json_stable_and_schema():
@@ -204,21 +223,13 @@ def test_neighborhood_cutset_exists_matches_brute():
             assert lab.neighborhood_cutset_exists(g, v) == brute
 
 
-def test_analyze_enumerates_cutsets_once(monkeypatch, fig):
-    calls = []
-    real = lab.cs.enumerate_cutsets
-
-    def counting(g):
-        calls.append(g)
-        return real(g)
-
-    monkeypatch.setattr(lab.cs, "enumerate_cutsets", counting)
-    # the example graph stops at the unmixedness filter; the path passes
-    # both filters and reaches the depth
+def test_analyze_enumerates_cutsets_once(fig):
+    # one cutset lattice per analyze: the example graph stops at the
+    # unmixedness filter; the path passes both filters and reaches the depth
     for g in (fig, path_graph(4)):
-        calls.clear()
+        lab.cs._lattice.cache_clear()
         lab.analyze(g)
-        assert len(calls) == 1
+        assert lab.cs._lattice.cache_info().misses == 1
 
 
 def test_one_cutset_lattice_per_graph():
