@@ -13,9 +13,10 @@ __version__ = "1.0.0"
 _EXPORTS = {
     "graphs": """Graph GraphParseError INFINITY add_whisker blocks
         block_with_whiskers complete_graph connected_components
-        cut_vertices cycle_graph decompose_at delete_vertices emit_graph6
-        girth glue_at induced_cycle_lengths is_connected is_free_vertex
-        parse_edge_list parse_graph6 path_graph relabel saturate""",
+        cut_vertices cycle_graph decompose_at delete_vertices diameter
+        emit_graph6 girth glue_at induced_cycle_lengths is_connected
+        is_free_vertex parse_edge_list parse_graph6 path_graph relabel
+        saturate""",
     "cutsets": """Cutset enumerate_cutsets is_accessible is_cutset
         is_unmixed component_count""",
     "monomials": "MonomialIdeal SimplicialComplex stanley_reisner",

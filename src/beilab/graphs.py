@@ -320,6 +320,23 @@ def blocks(g):
                               frozenset(cuts))
 
 
+def diameter(g):
+    """The largest distance between two vertices of a connected graph, by
+    one breadth-first search from each vertex; 0 for at most one vertex."""
+    adj = g.adjacency()
+    best = 0
+    for root in g.vertices():
+        dist = {root: 0}
+        queue = [root]
+        for u in queue:     # the queue grows as it is read
+            for w in adj[u]:
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        best = max(best, dist[queue[-1]])
+    return best
+
+
 def girth(g):
     """Length of a shortest cycle; INFINITY for forests.
 

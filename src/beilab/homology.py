@@ -417,7 +417,7 @@ def _remember(n, gens, topk, bound, exact):
     return bound
 
 
-def hochster_depth(ideal, limits=Limits()):
+def hochster_depth(ideal, limits=Limits(), seed=None, narrow=None):
     """depth of the quotient by a square-free monomial ideal, exactly.
 
     Squeeze strategy: depth <= n - pd where pd is pushed up by Hochster
@@ -425,13 +425,16 @@ def hochster_depth(ideal, limits=Limits()):
     over the lcm lattice by ascending homological degree, so cheap degrees
     come first), and depth >= the depth-lemma recursion bound, sharpened
     from topk 1 up to 4, each capped at n - pd_lb, before any lattice is
-    built. When the two bounds meet there the answer is exact with no
-    scan, and the witness is None. When no W is large enough to scan,
-    n - pd_lb is exact and no bound is computed. Otherwise the scan stops
-    the moment the bounds meet; if they never do, the
-    completed lattice scan is itself exact. It starts at degree 0: H~_-1
-    of W is nonzero only when every variable of W is a generator, so |W|
-    is at most the big height, pd_lb's start. In degree i it skips W with
+    built. ``seed``, a certified (lo, hi) interval on the depth known from
+    outside, starts both bounds. When the two bounds meet there the answer
+    is exact with no scan, and the witness is None. When no W is large
+    enough to scan, n - pd_lb is exact. Otherwise, between the passes and
+    the scan, ``narrow(lo, hi)``, if given, returns a certified interval
+    within the bounds, and the scan starts from it. The scan stops the
+    moment the bounds meet; if they never do, the completed lattice scan
+    is itself exact. It starts at degree 0: H~_-1 of W is nonzero only
+    when every variable of W is a generator, so |W| is at most the big
+    height, pd_lb's start. In degree i it skips W with
     |W| > n - depth_lb + i + 1, as pd <= n - depth_lb. The lattice is
     built, and charged to its budget, only when a scan runs; it is sorted
     by the total key (-|W|, W), so the witness is the first (W, i) in that
@@ -448,22 +451,27 @@ def hochster_depth(ideal, limits=Limits()):
     if ideal.is_zero():
         return DepthResult(depth=n)
     field, face_budget = limits.field, limits.face_budget
+    depth_lb, depth_ub = seed or (0, n)
     cx = mono.stanley_reisner(ideal)
     # pd >= big height = max codim of an associated prime, always
-    pd_lb = n - min(f.bit_count() for f in cx.facets)
+    pd_lb = max(n - min(f.bit_count() for f in cx.facets), n - depth_ub)
     # the lattice's top element is the union of all generators
     top = 0
     for g in ideal.gens:
         top |= g
     max_size = top.bit_count()
-    depth_lb = n - pd_lb    # exact when no W is large enough to scan
-    if pd_lb + 2 <= max_size:
-        # sharpen the bound before any lattice; it is needed only up to
-        # n - pd_lb, and each topk reuses the nodes a lower one took there
-        for topk in range(1, 5):
-            depth_lb = _depth_lower_bound(n, ideal.gens, topk, n - pd_lb)
-            if depth_lb >= n - pd_lb:
-                break
+    if pd_lb + 2 > max_size:
+        depth_lb = n - pd_lb    # no W is large enough to scan: exact
+    # sharpen the bound before any lattice; it is needed only up to
+    # n - pd_lb, and each topk reuses the nodes a lower one took there
+    for topk in range(1, 5):
+        if depth_lb >= n - pd_lb:
+            break
+        depth_lb = max(depth_lb, _depth_lower_bound(n, ideal.gens, topk,
+                                                    n - pd_lb))
+    if narrow is not None and n - pd_lb > depth_lb:
+        depth_lb, depth_ub = narrow(depth_lb, n - pd_lb)
+        pd_lb = n - depth_ub
     witness = None
     lattice = None
     spent = 0       # faces charged to face_budget

@@ -1,8 +1,11 @@
 """High-level decisions and one verifier per theorem-shaped statement.
 
-The verifiers deliberately keep the hypothesis side and the conclusion
-side on independent computation paths: unmixedness always goes through the
-cutset lattice, Cohen-Macaulayness through the depth of the initial ideal.
+The verifiers keep the hypothesis side and the conclusion side on
+independent computation paths: unmixedness always goes through the
+cutset lattice, Cohen-Macaulayness through the depth. One exception: the
+depth of G may read Ohtani's lemma at a non-free v, which asks for the
+depths of G - v, G_v and G_v - v, so `verify deletion`'s CM checks of
+those three graphs read the same memoized depths that depth(G) used.
 """
 
 import functools
@@ -12,10 +15,10 @@ from . import cutsets as cs
 from ._record import Record
 from .binomial_edge import initial_ideal
 from .graphs import (add_whisker, blocks, block_with_whiskers, cut_vertices,
-                     decompose_at, delete_vertices, emit_graph6, girth,
-                     induced_cycle_lengths, is_connected, is_free_vertex,
-                     per_graph, saturate, INFINITY)
-from .homology import CMCertificate, Limits, hochster_depth
+                     decompose_at, delete_vertices, diameter, emit_graph6,
+                     girth, induced_cycle_lengths, is_connected,
+                     is_free_vertex, per_graph, saturate, INFINITY)
+from .homology import CMCertificate, DepthResult, Limits, hochster_depth
 # an oracle, not called here: bench/spans.py wraps lab.reisner_cm
 from .homology import reisner_cm  # noqa: F401
 
@@ -66,9 +69,8 @@ class TheoremVerdict(Record):
 
 
 def cm_check(g, limits=Limits()):
-    """Cohen-Macaulayness of the binomial edge ideal: depth == dim, where
-    in(J_G) is square-free, so S/J_G and S/in(J_G) share depth and
-    dimension (Conca-Varbaro), and the depth is the Hochster squeeze's.
+    """Cohen-Macaulayness of the binomial edge ideal: depth == dim, the
+    depth from depth_JG.
 
     Pre-filters: not unmixed => not CM (cutset witness); not accessible =>
     not CM (known necessity). Otherwise not CM has the witness ("depth",
@@ -98,16 +100,75 @@ def dim_JG(g):
 
 
 def depth_JG(g, limits=Limits()):
-    """Depth of the quotient by J_G, via depth of its initial ideal; once
-    per graph and limits, so an answer out of one budget is never served
-    to another. Limits goes to the memo positionally, so the memo keys on
-    its value and not on the call form."""
+    """Depth of the quotient by J_G; once per graph and limits, so an
+    answer out of one budget is never served to another. Limits goes to
+    the memo positionally, so the memo keys on its value and not on the
+    call form."""
     return _depth(g, limits)
 
 
 @per_graph
 def _depth(g, limits):
-    return hochster_depth(initial_ideal(g), limits)
+    """The cheapest certificate first: the graph's own interval, which
+    needs no initial ideal; the squeeze's bounds on in(J_G), which has the
+    depth of J_G (Conca-Varbaro), seeded with it; Ohtani's exact sequence
+    while they are apart; and only then the lcm lattice scan."""
+    lo, hi = seed = _graph_interval(g)
+    if lo == hi:
+        return DepthResult(lo)
+    return hochster_depth(initial_ideal(g), limits, seed,
+                          lambda lo, hi: _ohtani(g, limits, lo, hi))
+
+
+def _graph_interval(g):
+    """A certified (lo, hi) interval on depth S/J_G from the graph alone.
+
+    For connected G, f(G) + d(G) <= depth, f counting the free vertices
+    and d the diameter (Rouzbahani Malayeri, Saeedi Madani and Kiani,
+    J. Algebraic Combin. 2022), and depth <= n + 1, the dimension of S
+    modulo the prime of the empty cutset, as no depth exceeds the
+    dimension of an associated prime. For G 2-connected and not complete,
+    depth <= n + 2 - kappa(G) (Banerjee and Nunez-Betancourt, Proc. AMS
+    2017), kappa the size of the smallest nonempty cutset. A disconnected
+    G gets the trivial interval."""
+    n = g.n
+    if not is_connected(g):
+        return 0, 2 * n
+    lo = sum(is_free_vertex(g, v) for v in g.vertices()) + diameter(g)
+    hi = n + 1
+    if n > 2 and not cut_vertices(g) and len(g.edges) < n * (n - 1) // 2:
+        hi = n + 2 - len(cs._lattice(g)[1])     # by size, after the empty
+    return lo, hi
+
+
+def _ohtani(g, limits, lo, hi):
+    """Narrow a certified interval [lo, hi] on depth S/J_G by Ohtani's
+    J_G = J_{G_v} intersected with (x_v, y_v) + J_{G-v} at each non-free
+    v (Comm. Algebra 2011), until it closes. Its exact sequence
+    0 -> S/J_G -> S/J_{G_v} + S/((x_v, y_v) + J_{G-v})
+      -> S/((x_v, y_v) + J_{G_v-v}) -> 0
+    and the depth lemma give, with B = min(depth G_v, depth G - v) and
+    C = depth G_v - v: depth G = B if B < C, C + 1 if B > C, and at least
+    C if B = C; and depth G <= depth G_v always, since
+    in(J_G) : x_v = in(J_{G_v}) under a labeling with v last, and a colon
+    by a variable never lowers depth (Rauf, Comm. Algebra 2010). A vertex
+    whose three depths are not all known narrows nothing."""
+    for v in g.vertices():
+        if lo >= hi:
+            break
+        if is_free_vertex(g, v):
+            continue
+        gv = saturate(g, v)
+        d_gv, d_del, c = (depth_JG(h, limits).depth for h in (
+            gv, delete_vertices(g, [v])[0], delete_vertices(gv, [v])[0]))
+        if None in (d_gv, d_del, c):
+            continue
+        b = min(d_gv, d_del)
+        if b != c:
+            lo = hi = b if b < c else c + 1
+        else:
+            lo, hi = max(lo, c), min(hi, d_gv)
+    return lo, hi
 
 
 def analyze(g, limits=Limits()):
@@ -381,7 +442,11 @@ class DepthEqualityRecord(Record):
 
 def depth_equality_check(g, v, limits=Limits()):
     """depth(S/J_G) versus depth of the two whiskered sides minus four."""
-    parts = [depth_JG(x, limits) for x in (g, *whiskered_sides(g, v))]
+    return _depth_equality(g, whiskered_sides(g, v), limits)
+
+
+def _depth_equality(g, sides, limits):
+    parts = [depth_JG(x, limits) for x in (g, *sides)]
     if any(p.depth is None for p in parts):
         return DepthEqualityRecord(None, None, None)
     lhs = parts[0].depth
@@ -438,9 +503,9 @@ def verify_depth_equality(corpus, limits=Limits(), corpus_name=""):
         splits = run.splits(g, cut_vertices(g))
         if splits is None:
             continue
-        for v, _ in splits:
+        for v, dec in splits:
             run.instances += 1
-            rec = depth_equality_check(g, v, limits)
+            rec = _depth_equality(g, _whiskered(dec), limits)
             if rec.equal is None:
                 run.indeterminate += 1
             elif not rec.equal:

@@ -51,15 +51,17 @@ def test_criterion_02_unmixedness_transfer(corpus6):
 
 
 def test_criterion_03_depth_engine_soundness(corpus6):
-    """hochster_depth == brute oracle, and Reisner CM iff depth == dim,
-    on every initial ideal with <= 12 variables."""
+    """hochster_depth == depth_JG (graph interval, squeeze bounds and
+    Ohtani's lemma) == brute oracle, and Reisner CM iff depth == dim, on
+    every initial ideal with <= 12 variables."""
     bad = []
     for g in corpus6:
         i = initial_ideal(g)
         h = hochster_depth(i, Limits(QQ))
         b = brute_depth_oracle(i, QQ)
-        if h.depth != b.depth:
-            bad.append((emit_graph6(g), "depth", h.depth, b.depth))
+        if not h.depth == lab.depth_JG(g).depth == b.depth:
+            bad.append((emit_graph6(g), "depth", h.depth,
+                        lab.depth_JG(g).depth, b.depth))
             continue
         cm = reisner_cm(stanley_reisner(i), Limits(QQ)).is_cm
         dim = 2 * g.n - min(p.size() for p in ass_initial(g))

@@ -153,20 +153,23 @@ def test_verify_counts_capped_graphs_as_indeterminate(n):
 
 
 def test_verify_honours_budgets():
-    # with both budgets at 1: P4 is CM and its depth bounds meet before
-    # any scan, so it is decided; FvHC? is accessible and its depth-lemma
-    # bound stays at 7 up to topk 4, below n - pd_lb = 8, so its squeeze
-    # must scan the lcm lattice, and its depth, with it CM, is
+    # with both budgets at 1: P4 is CM and its depth interval closes on
+    # the graph alone, so it is decided; FxrE?'s interval (7, 8) stays open
+    # through the squeeze's bounds and Ohtani's lemma, so its squeeze must
+    # scan the lcm lattice, and its depth, asked at its cut vertex, is
     # indeterminate
     budgets = ["--lattice-budget", "1", "--face-budget", "1"]
     code, out, err = run_cli(["verify", "saturation", "-", *budgets],
                              stdin="Ch\n")
     assert code == 0, err
     assert json.loads(out)["indeterminate"] == 0
-    code, out, err = run_cli(["verify", "saturation", "-", *budgets],
-                             stdin="FvHC?\n")
+    code, out, err = run_cli(["verify", "depth-equality", "-", *budgets],
+                             stdin="FxrE?\n")
     assert code == 2, err
     assert json.loads(out)["indeterminate"] >= 1
+    code, out, err = run_cli(["verify", "depth-equality", "-"],
+                             stdin="FxrE?\n")
+    assert code == 0, err
 
 
 @pytest.mark.parametrize("flags, env", [
@@ -208,6 +211,30 @@ def test_analyze_matches_the_budget_golden():
                          "--face-budget", "1", "--lattice-budget", "1"])
     assert code == 2
     assert buf.getvalue() == (DATA / "analyze_upto6_budget1.jsonl").read_text()
+
+
+def test_budget_goldens_withhold_answers_and_never_change_one():
+    # a budget-limited report line is marked, or it is the unlimited line
+    limited = (DATA / "analyze_upto6_budget1.jsonl").read_text().splitlines()
+    golden = (DATA / "analyze_upto6.jsonl").read_text().splitlines()
+    assert len(limited) == len(golden) == 143
+    marked = 0
+    for line, gold in zip(limited, golden):
+        if json.loads(line).get("budget") == "exceeded":
+            marked += 1
+        else:
+            assert line == gold
+    assert marked >= 1
+    # a budget-limited verdict reports no violation, and only findings the
+    # unlimited run reports too
+    limited = (DATA / "verify_7_budget1.jsonl").read_text().splitlines()
+    golden = (DATA / "verify_7.jsonl").read_text().splitlines()
+    assert len(limited) == len(golden) == 7
+    for line, gold in zip(limited, golden):
+        got, want = json.loads(line), json.loads(gold)
+        assert got["theorem"] == want["theorem"]
+        assert not got["violations"]
+        assert all(f in want["findings"] for f in got["findings"])
 
 
 @pytest.mark.parametrize("violations,indeterminate,findings,code", [

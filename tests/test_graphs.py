@@ -6,8 +6,8 @@ from beilab.graphs import (Graph, GraphParseError, INFINITY,
                            add_whisker, blocks,
                            block_with_whiskers, complete_graph,
                            connected_components, cut_vertices, cycle_graph,
-                           decompose_at, delete_vertices, emit_graph6,
-                           girth, glue_at, induced_cycle_lengths,
+                           decompose_at, delete_vertices, diameter,
+                           emit_graph6, girth, glue_at, induced_cycle_lengths,
                            is_connected, is_free_vertex, parse_edge_list,
                            parse_graph6, path_graph, relabel, saturate)
 from beilab.corpus import random_connected_graph
@@ -156,6 +156,13 @@ def test_girth_against_networkx():
             expect = min((len(c) for c in nx.cycle_basis(to_nx(g))),
                          default=INFINITY)
         assert girth(g) == expect or expect == float("inf")
+
+
+def test_diameter_against_networkx(fig):
+    assert diameter(Graph(1)) == 0
+    assert diameter(path_graph(5)) == 4 and diameter(cycle_graph(7)) == 3
+    for g in random_graphs(506, 60) + [fig]:
+        assert diameter(g) == nx.diameter(to_nx(g))
 
 
 def test_induced_cycles(fig):

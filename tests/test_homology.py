@@ -322,6 +322,29 @@ def test_budget_indeterminate():
     assert c.is_cm is None and c.witness is None
 
 
+def test_seed_and_narrow_start_the_scan_from_known_bounds(monkeypatch):
+    # C9's squeeze alone stays at (8, 9) through its scan; a seed that
+    # closes, or a narrow that closes after the passes, builds no lattice
+    def no_lattice(*args):
+        raise AssertionError("no lcm lattice when the bounds have met")
+
+    monkeypatch.setattr(homology, "_lcm_lattice", no_lattice)
+    c9 = initial_ideal(cycle_graph(9))
+    assert hochster_depth(c9, seed=(9, 9)).depth == 9
+    asked = []
+
+    def narrow(lo, hi):
+        asked.append((lo, hi))
+        return hi, hi
+
+    assert hochster_depth(c9, seed=(4, 9), narrow=narrow).depth == 9
+    assert asked == [(8, 9)]
+    # bounds that meet in the passes ask nothing of narrow
+    assert hochster_depth(initial_ideal(cycle_graph(5)),
+                          narrow=narrow).depth == 5
+    assert len(asked) == 1
+
+
 def test_lcm_lattice_is_union_closure_with_exact_budget():
     rng = random.Random(2718)
     for _ in range(40):

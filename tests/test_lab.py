@@ -259,11 +259,16 @@ def test_analyze_builds_each_artefact_once(monkeypatch, fig):
     for name in ("initial_ideal", "hochster_depth"):
         monkeypatch.setattr(lab, name, counting(name))
     monkeypatch.setattr(lab, "reisner_cm", no_reisner)
-    # the path passes both filters; the example graph is not unmixed
+    # the path passes both filters and its interval closes, 2 + 3 = n + 1,
+    # so it needs no initial ideal; the example graph is not unmixed and
+    # its interval stays open, so it needs one, and one squeeze
     for g in (path_graph(4), fig):
+        lo, hi = lab._graph_interval(g)
         calls.clear()
         lab.analyze(g)
-        assert sorted(calls) == ["hochster_depth", "initial_ideal"]
+        assert sorted(calls) == (
+            [] if lo == hi else ["hochster_depth", "initial_ideal"])
+    assert calls
 
 
 def test_cm_by_depth_agrees_with_reisner(corpus5):
@@ -307,8 +312,14 @@ def test_indeterminate_cm_is_never_false(monkeypatch, corpus5):
         return DepthResult(None, depth_bounds=(0, ideal.nvars))
 
     monkeypatch.setattr(lab, "hochster_depth", some_out_of_budget)
-    assert lab.cm_check(path_graph(3)).is_cm is None
-    assert lab.cm_check(path_graph(4)).is_cm is True
+    # two accessible graphs whose intervals stay open, (6, 7) and (5, 6):
+    # in(J_G) has 12 and 11 generators
+    assert lab.cm_check(parse_graph6("ExQ?")).is_cm is None
+    assert lab.cm_check(parse_graph6("D}_")).is_cm is True
+    # 20 of the 31 graphs with n <= 5 close on their interval; so that
+    # every verifier meets indeterminate answers, each depth is left to the
+    # squeeze
+    monkeypatch.setattr(lab, "_graph_interval", lambda g: (0, 2 * g.n))
     verdicts = [verify(corpus5, corpus_name="n<=5")
                 for verify in lab.VERIFIERS.values()]
     cut = [(g, min(lab.cut_vertices(g))) for g in corpus5
@@ -398,7 +409,8 @@ def test_depth_lower_bound_work_on_the_example(fig, monkeypatch):
 
 def test_depth_equality_asks_each_graph_once(fig, monkeypatch):
     # the example's own depth is asked at every cut vertex, and one
-    # whiskered side is the same graph at two of them: six graphs in all
+    # whiskered side is the same graph at two of them: six graphs in all,
+    # one of which closes on its graph interval, so five squeezes
     calls = []
     real = lab.hochster_depth
 
@@ -409,32 +421,33 @@ def test_depth_equality_asks_each_graph_once(fig, monkeypatch):
     monkeypatch.setattr(lab, "hochster_depth", counting)
     for v in (6, 8, 11):
         lab.depth_equality_check(fig, v)
-    assert len(calls) == 6
+    assert len(calls) == 5
 
 
 def test_depth_memo_keeps_limits_apart():
     # an answer out of one budget is never served to another, either way
-    g = parse_graph6("FvHC?")
+    g = parse_graph6("FxrE?")
     tight = Limits(QQ, lattice_budget=1, face_budget=1)
     before = lab.depth_JG(g, tight)
     assert before.depth is None and before.depth_bounds == (7, 8)
-    assert lab.depth_JG(g).depth == 8
+    assert lab.depth_JG(g).depth == 7
     assert lab.depth_JG(g, tight) == before
     # caches must be bounded
     assert lab._depth.cache_info().maxsize == 64
 
 
 def test_depth_memo_keys_on_values_not_call_form(monkeypatch):
-    # the default, a positional and a keyword Limits() are one entry
+    # the default, a positional and a keyword Limits() are one entry; C4's
+    # interval, (2, 4), leaves its depth to the squeeze
     calls = []
     real = lab.hochster_depth
 
-    def counting(ideal, limits):
+    def counting(ideal, limits, *args):
         calls.append(ideal)
-        return real(ideal, limits)
+        return real(ideal, limits, *args)
 
     monkeypatch.setattr(lab, "hochster_depth", counting)
-    g = path_graph(4)
+    g = cycle_graph(4)
     answers = {lab.depth_JG(g), lab.depth_JG(g, Limits()),
                lab.depth_JG(g, limits=Limits())}
     assert len(answers) == 1 and len(calls) == 1
@@ -464,6 +477,65 @@ def test_graph_budgets_yield_exact_answers_or_certified_intervals(
             assert r.depth == exact
         cm = lab.cm_check(g, limits).is_cm
         assert cm is None or cm == lab.cm_check(g).is_cm
+
+
+def test_graph_interval_holds_every_golden_depth():
+    # f(G) + d(G) <= depth <= n + 1, or n + 2 - kappa(G) for a 2-connected
+    # graph that is not complete, on the golden depths of all 996 connected
+    # graphs with n <= 7; paths and complete graphs close on it
+    reports = [json.loads(line) for name in ("analyze_upto6.jsonl",
+                                             "analyze_7.jsonl")
+               for line in (DATA / name).read_text().splitlines()]
+    assert len(reports) == 996
+    closed = 0
+    for rep in reports:
+        lo, hi = lab._graph_interval(parse_graph6(rep["graph"]))
+        assert lo <= rep["depth"] <= hi, rep["graph"]
+        closed += lo == hi
+    assert closed > 0
+    for n in range(2, 8):
+        assert lab._graph_interval(path_graph(n)) == (n + 1, n + 1)
+        assert lab._graph_interval(complete_graph(n)) == (n + 1, n + 1)
+
+
+def test_depth_equals_the_squeeze_on_random_graphs():
+    # the graph interval and Ohtani's lemma give the squeeze's own answer on
+    # seeded random connected graphs with n <= 9, wherever both decide; the
+    # lattice budget keeps the squeeze alone from scanning for a second on
+    # a few of them
+    rng = random.Random(2024)
+    from beilab.corpus import random_connected_graph
+    limits = Limits(lattice_budget=20_000)
+    decided = 0
+    for _ in range(30):
+        g = random_connected_graph(rng, 9, n_min=7)
+        depth = lab.depth_JG(g, limits).depth
+        squeeze = homology.hochster_depth(initial_ideal(g), limits).depth
+        if depth is not None and squeeze is not None:
+            decided += 1
+            assert depth == squeeze, emit_graph6(g)
+    assert decided >= 25
+
+
+def test_depth_of_long_cycles():
+    # the depth of C_n is n (Zafar and Zahid, Electron. J. Combin. 2013);
+    # the squeeze alone leaves C9 at (8, 9) and C11 at (10, 11)
+    assert lab.depth_JG(cycle_graph(9)).depth == 9
+    assert lab.depth_JG(cycle_graph(11)).depth == 11
+
+
+def test_verify_depth_equality_splits_each_graph_once(corpus6, monkeypatch):
+    # the whiskered sides are built from the split the run already holds
+    calls = []
+    real = lab.decompose_at
+
+    def counting(g, v):
+        calls.append((g, v))
+        return real(g, v)
+
+    monkeypatch.setattr(lab, "decompose_at", counting)
+    verdict = lab.verify_depth_equality(corpus6)
+    assert verdict.instances == len(calls) == 107
 
 
 def test_depth_of_the_slowest_n7_graphs():

@@ -3,6 +3,7 @@ each entry point loads, and the records that stand in for dataclasses."""
 
 import copy
 import os
+import pathlib
 import pickle
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from beilab.lab import (AnalysisReport, DepthEqualityRecord,
 from beilab.monomials import MonomialIdeal, SimplicialComplex
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(beilab.__file__)))
+DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
 
 
 def cold(code):
@@ -57,6 +59,18 @@ def test_graph_io_loads_graphs_alone():
 def test_lab_skips_the_corpus():
     loaded, _ = cold("from beilab import lab, parse_edge_list")
     assert "beilab.lab" in loaded and "beilab.corpus" not in loaded
+
+
+@pytest.mark.parametrize("demo", sorted(DEMOS.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_demo_runs(demo):
+    # each demo runs as its docstring says, with the checkout's src/ on
+    # PYTHONPATH, so a demo that reads a removed name fails here
+    proc = subprocess.run(
+        [sys.executable, str(demo)],
+        env=dict(os.environ, PYTHONPATH=str(DEMOS.parent / "src")),
+        capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_every_exported_name_resolves_and_is_listed():
