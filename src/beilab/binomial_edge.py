@@ -41,28 +41,30 @@ def admissible_paths(g):
     """
     if g.n > DEFAULT_PATH_CAP:
         raise ValueError(f"admissible-path enumeration capped at n={DEFAULT_PATH_CAP}")
-    adj = g.adjacency()
+    nbr = g.neighbor_masks()
     out = []
 
-    def grow(i, j, path, members):
+    def grow(path, members, near):
+        # near: the neighbors of path[:-1], which the next vertex must
+        # avoid to keep the path induced; allowed: the vertices below i or
+        # above j, plus j. Candidates go lowest bit first, so in
+        # increasing vertex order
         last = path[-1]
-        for w in sorted(adj[last]):
+        cand = nbr[last] & allowed & ~members & ~near
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            w = low.bit_length() - 1
             if w == j:
-                if len(path) == 1 or all(w not in adj[u] for u in path[:-1]):
-                    out.append(tuple(path) + (j,))
-                continue
-            if w in members or not (w < i or w > j):
-                continue
-            if any(w in adj[u] for u in path[:-1]):
-                continue  # chord against the growing path
-            path.append(w)
-            members.add(w)
-            grow(i, j, path, members)
-            members.discard(w)
-            path.pop()
+                out.append(path + (j,))
+            else:
+                grow(path + (w,), members | low, near | nbr[last])
 
+    full = (1 << (g.n + 1)) - 2
     for i, j in itertools.combinations(g.vertices(), 2):
-        grow(i, j, [i], {i})
+        # bits 1..i-1, j, and j+1..n
+        allowed = ((1 << i) - 2) | (full & -(1 << j))
+        grow((i,), 1 << i, 0)
     return out
 
 

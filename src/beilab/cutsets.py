@@ -8,7 +8,8 @@ ideal, with height n + |T| - c(T).
 import itertools
 
 from ._record import Record
-from .graphs import connected_components, is_free_vertex, per_graph
+from .graphs import (component_masks, connected_components, is_free_vertex,
+                     per_graph)
 
 DEFAULT_CUTSET_CAP = 24
 
@@ -61,20 +62,22 @@ def enumerate_cutsets(g):
 def _lattice(g):
     """The cutsets of g as a tuple, once per graph. Subsets containing a
     free vertex are skipped wholesale (a free vertex lies in no cutset).
-    Components are counted once per candidate; is_cutset's c(T - {v}) is
-    read from the counts of the size below."""
+    Components are counted once per candidate, on vertex masks; is_cutset's
+    c(T - {v}) is read from the counts of the size below."""
     if g.n > DEFAULT_CUTSET_CAP:
         raise ValueError(f"cutset enumeration capped at n={DEFAULT_CUTSET_CAP}")
-    nonfree = sorted(v for v in g.vertices() if not is_free_vertex(g, v))
-    prev = {frozenset(): component_count(g)}    # c(S), S one size smaller
-    out = [Cutset(frozenset(), prev[frozenset()])]
+    nonfree = [v for v in g.vertices() if not is_free_vertex(g, v)]
+    prev = {0: len(component_masks(g))}     # c(S) by mask, S one size smaller
+    out = [Cutset(frozenset(), prev[0])]
     for size in range(1, len(nonfree) + 1):
         counts = {}
         for combo in itertools.combinations(nonfree, size):
-            t = frozenset(combo)
-            c_full = counts[t] = component_count(g, t)
-            if all(prev[t - {v}] < c_full for v in t):
-                out.append(Cutset(t, c_full))
+            t = 0
+            for v in combo:
+                t |= 1 << v
+            c_full = counts[t] = len(component_masks(g, t))
+            if all(prev[t ^ (1 << v)] < c_full for v in combo):
+                out.append(Cutset(frozenset(combo), c_full))
         prev = counts
     return tuple(out)
 

@@ -26,7 +26,7 @@ class Graph(Record):
     """Simple graph on vertices 1..n with a canonical edge set (i < j)."""
 
     _fields = ("n", "edges")
-    __slots__ = _fields + ("_adj",)
+    __slots__ = _fields + ("_adj", "_nbr")
 
     def __init__(self, n, edges=frozenset()):
         if n < 0:
@@ -37,20 +37,28 @@ class Graph(Record):
         self._init(n, edges)
 
     def __getattr__(self, name):
-        # reached only while the _adj slot is unset: the neighbor sets are
-        # built on first use, once per instance, so a graph that is only
-        # checked against a size cap never allocates per-vertex state;
-        # adjacency(), neighbors() and degree() read them
-        if name != "_adj":
+        # reached only while the _adj or _nbr slot is unset: the neighbor
+        # sets and masks are built on first use, once per instance, so a
+        # graph that is only checked against a size cap never allocates
+        # per-vertex state; adjacency(), neighbors() and degree() read the
+        # sets, neighbor_masks() the masks
+        if name == "_adj":
+            adj = {v: set() for v in range(1, self.n + 1)}
+            for (i, j) in self.edges:
+                adj[i].add(j)
+                adj[j].add(i)
+            value = {v: frozenset(s) for v, s in adj.items()}
+        elif name == "_nbr":
+            nbr = [0] * (self.n + 1)
+            for (i, j) in self.edges:
+                nbr[i] |= 1 << j
+                nbr[j] |= 1 << i
+            value = tuple(nbr)
+        else:
             raise AttributeError(
                 f"'Graph' object has no attribute {name!r}")
-        adj = {v: set() for v in range(1, self.n + 1)}
-        for (i, j) in self.edges:
-            adj[i].add(j)
-            adj[j].add(i)
-        adj = {v: frozenset(s) for v, s in adj.items()}
-        _set(self, "_adj", adj)
-        return adj
+        _set(self, name, value)
+        return value
 
     @staticmethod
     def from_edges(n, edge_iter):
@@ -70,6 +78,11 @@ class Graph(Record):
 
     def neighbors(self, v):
         return self._adj[v]
+
+    def neighbor_masks(self):
+        """Neighbor sets as bitmasks: entry v has bit u set for each
+        neighbor u of v; entry 0 is 0, so bit v stands for vertex v."""
+        return self._nbr
 
     def has_edge(self, u, v):
         return (min(u, v), max(u, v)) in self.edges
@@ -230,30 +243,52 @@ def parse_edge_list(text):
 # basic structure
 
 def connected_components(g, removed=frozenset()):
-    """Partition of the surviving vertices into connected classes."""
-    alive = [v for v in g.vertices() if v not in removed]
-    adj = g.adjacency()
-    seen = set()
+    """Partition of the surviving vertices into connected classes, by
+    least vertex."""
+    dead = 0
+    for v in removed:
+        dead |= 1 << v
+    return [frozenset(_bits(c)) for c in component_masks(g, dead)]
+
+
+def component_masks(g, removed=0):
+    """The connected classes of g minus the vertex mask ``removed``, as
+    masks in order of their least vertex."""
+    nbr = g.neighbor_masks()
+    alive = ((1 << (g.n + 1)) - 2) & ~removed
     parts = []
-    for s in alive:
-        if s in seen:
-            continue
-        comp = {s}
-        stack = [s]
-        seen.add(s)
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in removed and w not in seen:
-                    seen.add(w)
-                    comp.add(w)
-                    stack.append(w)
-        parts.append(frozenset(comp))
-    return sorted(parts, key=min)
+    while alive:
+        comp = frontier = alive & -alive
+        while frontier:
+            frontier = _reach(nbr, frontier) & alive & ~comp
+            comp |= frontier
+        parts.append(comp)
+        alive &= ~comp
+    return parts
+
+
+def _reach(nbr, mask):
+    """The union of the neighbor masks of the vertices in ``mask``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= nbr[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def _bits(mask):
+    """The vertices of a mask, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def is_connected(g):
-    return len(connected_components(g)) <= 1
+    return len(component_masks(g)) <= 1
 
 
 def cut_vertices(g):
@@ -322,18 +357,18 @@ def blocks(g):
 
 def diameter(g):
     """The largest distance between two vertices of a connected graph, by
-    one breadth-first search from each vertex; 0 for at most one vertex."""
-    adj = g.adjacency()
+    one breadth-first search from each vertex, a layer of masks at a time;
+    0 for at most one vertex."""
+    nbr = g.neighbor_masks()
     best = 0
     for root in g.vertices():
-        dist = {root: 0}
-        queue = [root]
-        for u in queue:     # the queue grows as it is read
-            for w in adj[u]:
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        best = max(best, dist[queue[-1]])
+        seen = frontier = 1 << root
+        depth = -1
+        while frontier:
+            depth += 1
+            frontier = _reach(nbr, frontier) & ~seen
+            seen |= frontier
+        best = max(best, depth)
     return best
 
 
@@ -396,9 +431,16 @@ def induced_cycle_lengths(g):
 
 
 def is_free_vertex(g, v):
-    """True iff the neighborhood of v induces a complete graph."""
-    nb = sorted(g.neighbors(v))
-    return all(g.has_edge(a, b) for a, b in itertools.combinations(nb, 2))
+    """True iff the neighborhood of v induces a complete graph: each
+    neighbor u of v is adjacent to every other neighbor of v."""
+    nbr = g.neighbor_masks()
+    nb = b = nbr[v]
+    while b:
+        low = b & -b
+        if nb & ~low & ~nbr[low.bit_length() - 1]:
+            return False
+        b ^= low
+    return True
 
 
 # ---------------------------------------------------------------------------

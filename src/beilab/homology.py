@@ -428,9 +428,10 @@ def hochster_depth(ideal, limits=Limits(), seed=None, narrow=None):
     built. ``seed``, a certified (lo, hi) interval on the depth known from
     outside, starts both bounds. When the two bounds meet there the answer
     is exact with no scan, and the witness is None. When no W is large
-    enough to scan, n - pd_lb is exact. Otherwise, between the passes and
-    the scan, ``narrow(lo, hi)``, if given, returns a certified interval
-    within the bounds, and the scan starts from it. The scan stops the
+    enough to scan, n - pd_lb is exact. If the bounds are still apart
+    after the passes at topk 1 and 2, ``narrow(lo, hi)``, if given,
+    returns a certified interval within them, and the passes at topk 3
+    and 4 and then the scan start from it. The scan stops the
     moment the bounds meet; if they never do, the completed lattice scan
     is itself exact. It starts at degree 0: H~_-1 of W is nonzero only
     when every variable of W is a generator, so |W| is at most the big
@@ -463,15 +464,17 @@ def hochster_depth(ideal, limits=Limits(), seed=None, narrow=None):
     if pd_lb + 2 > max_size:
         depth_lb = n - pd_lb    # no W is large enough to scan: exact
     # sharpen the bound before any lattice; it is needed only up to
-    # n - pd_lb, and each topk reuses the nodes a lower one took there
+    # n - pd_lb, and each topk reuses the nodes a lower one took there;
+    # narrow runs between the cheap passes (topk 1 and 2) and the costly
+    # ones (topk 3 and 4)
     for topk in range(1, 5):
+        if topk == 3 and narrow is not None and n - pd_lb > depth_lb:
+            depth_lb, depth_ub = narrow(depth_lb, n - pd_lb)
+            pd_lb = n - depth_ub
         if depth_lb >= n - pd_lb:
             break
         depth_lb = max(depth_lb, _depth_lower_bound(n, ideal.gens, topk,
                                                     n - pd_lb))
-    if narrow is not None and n - pd_lb > depth_lb:
-        depth_lb, depth_ub = narrow(depth_lb, n - pd_lb)
-        pd_lb = n - depth_ub
     witness = None
     lattice = None
     spent = 0       # faces charged to face_budget

@@ -14,8 +14,9 @@ import json
 from . import cutsets as cs
 from ._record import Record
 from .binomial_edge import initial_ideal
-from .graphs import (add_whisker, blocks, block_with_whiskers, cut_vertices,
-                     decompose_at, delete_vertices, diameter, emit_graph6,
+from .graphs import (add_whisker, blocks, block_with_whiskers,
+                     connected_components, cut_vertices, decompose_at,
+                     delete_vertices, diameter, emit_graph6,
                      girth, induced_cycle_lengths, is_connected,
                      is_free_vertex, per_graph, saturate, INFINITY)
 from .homology import CMCertificate, DepthResult, Limits, hochster_depth
@@ -109,10 +110,25 @@ def depth_JG(g, limits=Limits()):
 
 @per_graph
 def _depth(g, limits):
-    """The cheapest certificate first: the graph's own interval, which
+    """The cheapest certificate first. A disconnected G is a sum of
+    ideals in disjoint variables, one per component, so its depth is the
+    sum of theirs. A connected G tries the graph's own interval, which
     needs no initial ideal; the squeeze's bounds on in(J_G), which has the
-    depth of J_G (Conca-Varbaro), seeded with it; Ohtani's exact sequence
-    while they are apart; and only then the lcm lattice scan."""
+    depth of J_G (Conca-Varbaro), seeded with it, at topk 1 and 2;
+    Ohtani's exact sequence while they are apart; the bounds at topk 3
+    and 4; and only then the lcm lattice scan."""
+    comps = connected_components(g)
+    if len(comps) > 1:
+        vertices = set(g.vertices())
+        lo = hi = 0
+        for c in comps:
+            part = depth_JG(delete_vertices(g, vertices - c)[0], limits)
+            # an indeterminate part has certified bounds, which never meet
+            a, b = part.depth_bounds or (part.depth, part.depth)
+            lo, hi = lo + a, hi + b
+        if lo == hi:
+            return DepthResult(lo)
+        return DepthResult(None, depth_bounds=(lo, hi))
     lo, hi = seed = _graph_interval(g)
     if lo == hi:
         return DepthResult(lo)
@@ -121,19 +137,17 @@ def _depth(g, limits):
 
 
 def _graph_interval(g):
-    """A certified (lo, hi) interval on depth S/J_G from the graph alone.
+    """A certified (lo, hi) interval on depth S/J_G from a connected graph
+    alone.
 
-    For connected G, f(G) + d(G) <= depth, f counting the free vertices
-    and d the diameter (Rouzbahani Malayeri, Saeedi Madani and Kiani,
-    J. Algebraic Combin. 2022), and depth <= n + 1, the dimension of S
-    modulo the prime of the empty cutset, as no depth exceeds the
-    dimension of an associated prime. For G 2-connected and not complete,
-    depth <= n + 2 - kappa(G) (Banerjee and Nunez-Betancourt, Proc. AMS
-    2017), kappa the size of the smallest nonempty cutset. A disconnected
-    G gets the trivial interval."""
+    f(G) + d(G) <= depth, f counting the free vertices and d the diameter
+    (Rouzbahani Malayeri, Saeedi Madani and Kiani, J. Algebraic Combin.
+    2022), and depth <= n + 1, the dimension of S modulo the prime of the
+    empty cutset, as no depth exceeds the dimension of an associated prime.
+    For G 2-connected and not complete, depth <= n + 2 - kappa(G)
+    (Banerjee and Nunez-Betancourt, Proc. AMS 2017), kappa the size of the
+    smallest nonempty cutset."""
     n = g.n
-    if not is_connected(g):
-        return 0, 2 * n
     lo = sum(is_free_vertex(g, v) for v in g.vertices()) + diameter(g)
     hi = n + 1
     if n > 2 and not cut_vertices(g) and len(g.edges) < n * (n - 1) // 2:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -11,7 +12,8 @@ from beilab.binomial_edge import (_induced, admissible_paths, ass_initial,
 from beilab.graphs import (Graph, complete_graph, cut_vertices, cycle_graph,
                            glue_at, parse_edge_list, path_graph)
 from beilab.monomials import mask_name, minimal_primes, xvar, yvar
-from beilab.corpus import random_connected_graph
+from beilab.corpus import connected_graphs, random_connected_graph
+from conftest import random_graphs_any
 
 
 def gens_as_text(ideal, n):
@@ -64,6 +66,48 @@ def test_admissible_paths_are_induced():
         assert vs[0] < vs[-1]
         for k in vs[1:-1]:
             assert k < vs[0] or k > vs[-1]
+
+
+def admissible_paths_by_sets(g):
+    """admissible_paths on neighbor sets: each i < j grows its paths by a
+    depth-first walk over sorted neighbors, testing every earlier path
+    vertex for a chord. The oracle of the bitmask walk."""
+    adj = g.adjacency()
+    out = []
+
+    def grow(i, j, path, members):
+        last = path[-1]
+        for w in sorted(adj[last]):
+            if w == j:
+                if len(path) == 1 or all(w not in adj[u] for u in path[:-1]):
+                    out.append(tuple(path) + (j,))
+                continue
+            if w in members or not (w < i or w > j):
+                continue
+            if any(w in adj[u] for u in path[:-1]):
+                continue  # chord against the growing path
+            path.append(w)
+            members.add(w)
+            grow(i, j, path, members)
+            members.discard(w)
+            path.pop()
+
+    for i, j in itertools.combinations(g.vertices(), 2):
+        grow(i, j, [i], {i})
+    return out
+
+
+def test_admissible_paths_match_the_set_walk():
+    # the same tuples in the same order on every connected graph with
+    # n = 7 and on seeded random graphs with 8 <= n <= 10, disconnected
+    # ones included
+    rng = random.Random(77)
+    graphs = list(connected_graphs(7))
+    assert len(graphs) == 853
+    graphs += [random_connected_graph(rng, 10, n_min=8) for _ in range(30)]
+    graphs += [g for g in random_graphs_any(78, 60, n_max=10) if g.n >= 8]
+    for g in graphs:
+        assert admissible_paths(g) == admissible_paths_by_sets(g), g
 
 
 def test_initial_ideal_matches_groebner_oracle():

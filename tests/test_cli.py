@@ -154,7 +154,7 @@ def test_verify_counts_capped_graphs_as_indeterminate(n):
 
 def test_verify_honours_budgets():
     # with both budgets at 1: P4 is CM and its depth interval closes on
-    # the graph alone, so it is decided; FxrE?'s interval (7, 8) stays open
+    # the graph alone, so it is decided; F~zc?'s interval (7, 8) stays open
     # through the squeeze's bounds and Ohtani's lemma, so its squeeze must
     # scan the lcm lattice, and its depth, asked at its cut vertex, is
     # indeterminate
@@ -164,11 +164,11 @@ def test_verify_honours_budgets():
     assert code == 0, err
     assert json.loads(out)["indeterminate"] == 0
     code, out, err = run_cli(["verify", "depth-equality", "-", *budgets],
-                             stdin="FxrE?\n")
+                             stdin="F~zc?\n")
     assert code == 2, err
     assert json.loads(out)["indeterminate"] >= 1
     code, out, err = run_cli(["verify", "depth-equality", "-"],
-                             stdin="FxrE?\n")
+                             stdin="F~zc?\n")
     assert code == 0, err
 
 

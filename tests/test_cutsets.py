@@ -4,11 +4,12 @@ import random
 import networkx as nx
 from hypothesis import given, settings, strategies as st
 
-from beilab.cutsets import (component_count, enumerate_cutsets,
-                            is_accessible, is_cutset, is_unmixed)
+from beilab.cutsets import (Cutset, _lattice, component_count,
+                            enumerate_cutsets, is_accessible, is_cutset,
+                            is_unmixed)
 from beilab.graphs import (complete_graph, cut_vertices, cycle_graph,
                            is_free_vertex, path_graph)
-from beilab.corpus import random_connected_graph
+from beilab.corpus import connected_graphs, random_connected_graph
 from conftest import random_graphs_any
 
 
@@ -40,6 +41,58 @@ def brute_cutsets(g):
                    for v in ts):
                 out.append(ts)
     return set(out)
+
+
+def components_by_sets(g, removed):
+    """The number of connected classes of g minus ``removed``, by a
+    depth-first walk over neighbor sets."""
+    adj = g.adjacency()
+    seen = set(removed)
+    count = 0
+    for s in g.vertices():
+        if s in seen:
+            continue
+        count += 1
+        seen.add(s)
+        stack = [s]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+    return count
+
+
+def lattice_by_sets(g):
+    """_lattice on frozensets: each candidate over the non-free vertices,
+    by size and then in combination order, is a cutset when removing any
+    one of its vertices leaves fewer components. The oracle of the
+    bitmask lattice."""
+    nonfree = sorted(v for v in g.vertices() if not is_free_vertex(g, v))
+    prev = {frozenset(): components_by_sets(g, ())}
+    out = [Cutset(frozenset(), prev[frozenset()])]
+    for size in range(1, len(nonfree) + 1):
+        counts = {}
+        for combo in itertools.combinations(nonfree, size):
+            t = frozenset(combo)
+            c_full = counts[t] = components_by_sets(g, t)
+            if all(prev[t - {v}] < c_full for v in t):
+                out.append(Cutset(t, c_full))
+        prev = counts
+    return tuple(out)
+
+
+def test_lattice_matches_the_set_lattice():
+    # the same cutsets with the same counts in the same order on every
+    # connected graph with n = 7 and on seeded random graphs with
+    # 8 <= n <= 10, disconnected ones included
+    rng = random.Random(88)
+    graphs = list(connected_graphs(7))
+    assert len(graphs) == 853
+    graphs += [random_connected_graph(rng, 10, n_min=8) for _ in range(30)]
+    graphs += [g for g in random_graphs_any(89, 60, n_max=10) if g.n >= 8]
+    for g in graphs:
+        assert _lattice(g) == lattice_by_sets(g), g
 
 
 def test_component_count():

@@ -98,9 +98,29 @@ def test_components_against_networkx():
         for removed in [frozenset(), frozenset([1]), frozenset([1, 2])]:
             h = to_nx(g)
             h.remove_nodes_from(removed)
-            ours = {frozenset(c) for c in connected_components(g, removed)}
+            parts = connected_components(g, removed)
             theirs = {frozenset(c) for c in nx.connected_components(h)}
-            assert ours == theirs
+            assert set(parts) == theirs
+            assert [min(c) for c in parts] == sorted(min(c) for c in parts)
+
+
+def test_neighbor_masks_match_the_neighbor_sets():
+    for g in random_graphs_any(203, 40):
+        masks = g.neighbor_masks()
+        assert len(masks) == g.n + 1 and masks[0] == 0
+        for v in g.vertices():
+            assert masks[v] == sum(1 << u for u in g.neighbors(v))
+
+
+def test_free_vertices_against_networkx():
+    # v is free when its neighbors span a clique, isolated vertices too
+    for g in random_graphs_any(204, 60):
+        h = to_nx(g)
+        for v in g.vertices():
+            nb = list(h.neighbors(v))
+            clique = h.subgraph(nb).number_of_edges() == \
+                len(nb) * (len(nb) - 1) // 2
+            assert is_free_vertex(g, v) == clique
 
 
 def test_block_with_whiskers_reuses_the_block_decomposition(fig):

@@ -8,9 +8,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from beilab.binomial_edge import initial_ideal, setup_identities
 from beilab.cutsets import AccessibilityReport, UnmixednessReport
-from beilab.graphs import (complete_graph, cycle_graph, decompose_at,
+from beilab.graphs import (Graph, complete_graph, cycle_graph, decompose_at,
                            delete_vertices, emit_graph6, glue_at,
-                           parse_edge_list, parse_graph6, path_graph)
+                           parse_edge_list, parse_graph6, path_graph,
+                           relabel)
 from beilab.homology import FieldSpec, Limits, QQ
 import beilab.homology as homology
 import beilab.lab as lab
@@ -410,7 +411,12 @@ def test_depth_lower_bound_work_on_the_example(fig, monkeypatch):
 def test_depth_equality_asks_each_graph_once(fig, monkeypatch):
     # the example's own depth is asked at every cut vertex, and one
     # whiskered side is the same graph at two of them: six graphs in all,
-    # one of which closes on its graph interval, so five squeezes
+    # one of which closes on its graph interval, so five squeezes. The
+    # 9-vertex side two at v = 8, Hh@RoK@, stays open after the passes at
+    # topk 1 and 2, and Ohtani's lemma at a non-free vertex asks for four
+    # more: its saturation HxBvwK@, the two components of its
+    # deletion, a lone vertex (@) and FawWG, and the deleted saturation
+    # GgzwWC. Nine squeezes, none of them of an ideal squeezed before
     calls = []
     real = lab.hochster_depth
 
@@ -421,12 +427,13 @@ def test_depth_equality_asks_each_graph_once(fig, monkeypatch):
     monkeypatch.setattr(lab, "hochster_depth", counting)
     for v in (6, 8, 11):
         lab.depth_equality_check(fig, v)
-    assert len(calls) == 5
+    assert len(calls) == 9
+    assert len(set(calls)) == len(calls)
 
 
 def test_depth_memo_keeps_limits_apart():
     # an answer out of one budget is never served to another, either way
-    g = parse_graph6("FxrE?")
+    g = parse_graph6("F~zc?")
     tight = Limits(QQ, lattice_budget=1, face_budget=1)
     before = lab.depth_JG(g, tight)
     assert before.depth is None and before.depth_bounds == (7, 8)
@@ -520,8 +527,51 @@ def test_depth_equals_the_squeeze_on_random_graphs():
 def test_depth_of_long_cycles():
     # the depth of C_n is n (Zafar and Zahid, Electron. J. Combin. 2013);
     # the squeeze alone leaves C9 at (8, 9) and C11 at (10, 11)
-    assert lab.depth_JG(cycle_graph(9)).depth == 9
-    assert lab.depth_JG(cycle_graph(11)).depth == 11
+    for n in (9, 11, 12, 13):
+        assert lab.depth_JG(cycle_graph(n)).depth == n
+
+
+def disjoint_union(parts, rng):
+    """The disjoint union of the graphs ``parts``, its labels shuffled, so
+    that a component's labels need not be consecutive."""
+    edges, offset = [], 0
+    for h in parts:
+        edges += [(i + offset, j + offset) for i, j in h.edges]
+        offset += h.n
+    perm = list(range(1, offset + 1))
+    rng.shuffle(perm)
+    return relabel(Graph.from_edges(offset, edges), perm)
+
+
+def test_depth_of_a_disjoint_union_is_the_sum_of_its_parts():
+    # J_G is a sum of ideals in disjoint variables, one per component, so
+    # the depths add; the squeeze of in(J_G) agrees on the union itself
+    from beilab.corpus import random_connected_graph
+    rng = random.Random(4242)
+    for _ in range(40):
+        parts = [random_connected_graph(rng, 5, n_min=1)
+                 for _ in range(rng.randint(2, 3))]
+        g = disjoint_union(parts, rng)
+        depth = lab.depth_JG(g).depth
+        assert depth == sum(lab.depth_JG(h).depth for h in parts)
+        assert depth == homology.hochster_depth(initial_ideal(g)).depth
+
+
+def test_an_indeterminate_component_leaves_the_union_indeterminate():
+    # F~zc? stays at (7, 8) within budgets of 1; the path closes on its
+    # graph interval at any budget
+    rng = random.Random(7)
+    tight = Limits(QQ, lattice_budget=1, face_budget=1)
+    open_part, path = parse_graph6("F~zc?"), path_graph(3)
+    g = disjoint_union([open_part, path, open_part], rng)
+    r = lab.depth_JG(g, tight)
+    parts = [lab.depth_JG(h, tight) for h in (open_part, path)]
+    assert parts[0].depth_bounds == (7, 8) and parts[1].depth == 4
+    assert r.depth is None and r.depth_bounds == (7 + 4 + 7, 8 + 4 + 8)
+    exact = lab.depth_JG(g).depth
+    assert exact == 7 + 4 + 7
+    lo, hi = r.depth_bounds
+    assert lo <= exact <= hi
 
 
 def test_verify_depth_equality_splits_each_graph_once(corpus6, monkeypatch):
