@@ -177,8 +177,9 @@ def setup_identities(g, v):
     nvars = 2 * n
     xm = 1 << mono.xvar(m, n)
     ym = 1 << mono.yvar(m, n)
-    r = sum(1 for u in gp.neighbors(m) if u < m)
-    s = sum(1 for u in gp.neighbors(m) if u > m)
+    nb = gp.neighbor_masks()[m]
+    r = (nb & ((1 << m) - 1)).bit_count()
+    s = (nb >> (m + 1)).bit_count()
 
     g1 = _induced(gp, range(1, m + 1))     # side one
     g2 = _induced(gp, range(m, n + 1))     # side two

@@ -26,39 +26,18 @@ class Graph(Record):
     """Simple graph on vertices 1..n with a canonical edge set (i < j)."""
 
     _fields = ("n", "edges")
-    __slots__ = _fields + ("_adj", "_nbr")
+    __slots__ = _fields + ("_nbr",)
 
     def __init__(self, n, edges=frozenset()):
         if n < 0:
             raise ValueError(f"negative vertex count n={n}")
+        # frozen before the check, so that a list hashes and a generator
+        # is not used up; a frozenset is returned as it is
+        edges = frozenset(edges)
         for (i, j) in edges:
             if not (1 <= i < j <= n):
                 raise ValueError(f"bad edge ({i},{j}) for n={n}")
         self._init(n, edges)
-
-    def __getattr__(self, name):
-        # reached only while the _adj or _nbr slot is unset: the neighbor
-        # sets and masks are built on first use, once per instance, so a
-        # graph that is only checked against a size cap never allocates
-        # per-vertex state; adjacency(), neighbors() and degree() read the
-        # sets, neighbor_masks() the masks
-        if name == "_adj":
-            adj = {v: set() for v in range(1, self.n + 1)}
-            for (i, j) in self.edges:
-                adj[i].add(j)
-                adj[j].add(i)
-            value = {v: frozenset(s) for v, s in adj.items()}
-        elif name == "_nbr":
-            nbr = [0] * (self.n + 1)
-            for (i, j) in self.edges:
-                nbr[i] |= 1 << j
-                nbr[j] |= 1 << i
-            value = tuple(nbr)
-        else:
-            raise AttributeError(
-                f"'Graph' object has no attribute {name!r}")
-        _set(self, name, value)
-        return value
 
     @staticmethod
     def from_edges(n, edge_iter):
@@ -72,23 +51,29 @@ class Graph(Record):
     def vertices(self):
         return range(1, self.n + 1)
 
-    def adjacency(self):
-        """Neighbor sets, as a dict vertex -> frozenset (shared: read only)."""
-        return self._adj
+    def neighbor_masks(self):
+        """The adjacency, as a tuple of bitmasks: entry v has bit u set for
+        each neighbor u of v; entry 0 is 0, so bit v stands for vertex v.
+        Built on first use, so a graph that is only checked against a size
+        cap allocates no per-vertex state."""
+        try:
+            return self._nbr
+        except AttributeError:
+            nbr = [0] * (self.n + 1)
+            for (i, j) in self.edges:
+                nbr[i] |= 1 << j
+                nbr[j] |= 1 << i
+            _set(self, "_nbr", tuple(nbr))
+            return self._nbr
 
     def neighbors(self, v):
-        return self._adj[v]
-
-    def neighbor_masks(self):
-        """Neighbor sets as bitmasks: entry v has bit u set for each
-        neighbor u of v; entry 0 is 0, so bit v stands for vertex v."""
-        return self._nbr
+        return frozenset(_bits(self.neighbor_masks()[v]))
 
     def has_edge(self, u, v):
         return (min(u, v), max(u, v)) in self.edges
 
     def degree(self, v):
-        return len(self._adj[v])
+        return self.neighbor_masks()[v].bit_count()
 
 
 class BlockDecomposition(Record):
@@ -301,31 +286,32 @@ def blocks(g):
     """Blocks (maximal biconnected subgraphs) and cut vertices of any
     graph, by one depth-first pass per component (Hopcroft-Tarjan). An
     isolated vertex is a block of its own; the empty graph has none."""
-    adj = g.adjacency()
-    disc, low = {}, {}
+    nbr = g.neighbor_masks()
+    disc = [0] * (g.n + 1)      # 0 until the vertex is reached
+    low = [0] * (g.n + 1)
     stack = []          # edge stack
     out_blocks = []
     cuts = set()
     timer = itertools.count(1)
     for root in g.vertices():
-        if root in disc:
+        if disc[root]:
             continue
         disc[root] = low[root] = next(timer)
-        if not adj[root]:
+        if not nbr[root]:
             out_blocks.append(frozenset([root]))
             continue
         root_children = 0
         # iterative DFS
-        call = [(root, None, iter(sorted(adj[root])))]
+        call = [(root, None, iter(_bits(nbr[root])))]
         while call:
             u, parent, it = call[-1]
             for w in it:
                 if w == parent:
                     continue
-                if w not in disc:
+                if not disc[w]:
                     stack.append((u, w))
                     disc[w] = low[w] = next(timer)
-                    call.append((w, u, iter(sorted(adj[w]))))
+                    call.append((w, u, iter(_bits(nbr[w]))))
                     break
                 if disc[w] < disc[u]:
                     stack.append((u, w))
@@ -375,26 +361,32 @@ def diameter(g):
 def girth(g):
     """Length of a shortest cycle; INFINITY for forests.
 
-    A shortest cycle is automatically chordless, so this is the induced
+    One breadth-first search from each root, a layer of masks at a time.
+    An edge inside layer d closes a cycle of at most 2d + 1, and a vertex
+    of layer d + 1 with two neighbors in layer d one of at most 2d + 2;
+    from a root on a shortest cycle the search meets its exact length. A
+    shortest cycle is automatically chordless, so this is the induced
     girth as well.
     """
-    adj = g.adjacency()
+    nbr = g.neighbor_masks()
     best = INFINITY
     for root in g.vertices():
-        dist = {root: 0}
-        parent = {root: None}
-        queue = [root]
-        while queue:
-            nxt = []
-            for u in queue:
-                for w in adj[u]:
-                    if w not in dist:
-                        dist[w] = dist[u] + 1
-                        parent[w] = u
-                        nxt.append(w)
-                    elif parent[u] != w and parent.get(w) != u and dist[w] >= dist[u]:
-                        best = min(best, dist[u] + dist[w] + 1)
-            queue = nxt
+        seen = layer = 1 << root
+        d = 0
+        while layer and 2 * d + 1 < best:
+            inside = twice = nxt = 0
+            for u in _bits(layer):
+                out = nbr[u]
+                inside |= out & layer
+                out &= ~seen
+                twice |= nxt & out
+                nxt |= out
+            if inside or twice:
+                best = 2 * d + (1 if inside else 2)
+                break
+            seen |= nxt
+            layer = nxt
+            d += 1
     return best
 
 
@@ -403,30 +395,25 @@ def induced_cycle_lengths(g):
     if g.n > DEFAULT_INDUCED_CYCLE_CAP:
         raise ValueError("induced-cycle enumeration capped at "
                          f"n={DEFAULT_INDUCED_CYCLE_CAP}")
-    adj = g.adjacency()
+    nbr = g.neighbor_masks()
     lengths = set()
 
-    def extend(path, members):
-        s = path[0]
-        for w in sorted(adj[path[-1]]):
-            if w <= s or w in members:
-                continue
-            # keep the path chordless away from the two ends
-            if any(w in adj[u] for u in path[1:-1]):
-                continue
-            if len(path) >= 2 and w in adj[s]:
+    def extend(s, first, last, inner, length):
+        # the chordless path s, first, ..., last has ``length`` vertices,
+        # all above s; ``inner`` masks those strictly between s and last
+        for w in _bits(nbr[last] & ~inner & -(2 << s)):
+            if nbr[w] & inner:
+                continue  # a chord to the path's interior
+            if nbr[s] >> w & 1:
                 # closing edge: cycle s, ..., last, w (each reported once)
-                if path[1] < w:
-                    lengths.add(len(path) + 1)
+                if first < w:
+                    lengths.add(length + 1)
                 continue  # extending past w would leave the chord {w, s}
-            path.append(w)
-            members.add(w)
-            extend(path, members)
-            members.discard(w)
-            path.pop()
+            extend(s, first, w, inner | 1 << last, length + 1)
 
     for s in g.vertices():
-        extend([s], {s})
+        for first in _bits(nbr[s] & -(2 << s)):
+            extend(s, first, first, 0, 2)
     return lengths
 
 
@@ -448,9 +435,9 @@ def is_free_vertex(g, v):
 
 def saturate(g, v):
     """Complete the neighborhood of v (the local clique closure)."""
-    nb = sorted(g.neighbors(v))
-    extra = [(a, b) for a, b in itertools.combinations(nb, 2)]
-    return Graph.from_edges(g.n, list(g.edges) + extra)
+    nb = _bits(g.neighbor_masks()[v])
+    return Graph.from_edges(g.n, list(g.edges)
+                            + list(itertools.combinations(nb, 2)))
 
 
 def delete_vertices(g, removed):
@@ -488,11 +475,11 @@ def _relabel_around(g, v, side1):
     """g relabeled so that the vertex set side1, which holds v, comes first
     with v last in it and v's neighbors just below v; the other vertices
     follow with v's neighbors first. Each group keeps its order."""
-    nb = g.neighbors(v)
+    nb = g.neighbor_masks()[v]
 
     def group(inside, near):
         return [u for u in g.vertices()
-                if u != v and (u in side1) == inside and (u in nb) == near]
+                if u != v and (u in side1) == inside and (nb >> u & 1) == near]
 
     order = (group(True, False) + group(True, True) + [v]
              + group(False, True) + group(False, False))

@@ -146,11 +146,16 @@ def _graph_interval(g):
     empty cutset, as no depth exceeds the dimension of an associated prime.
     For G 2-connected and not complete, depth <= n + 2 - kappa(G)
     (Banerjee and Nunez-Betancourt, Proc. AMS 2017), kappa the size of the
-    smallest nonempty cutset."""
+    smallest nonempty cutset. K_n with n >= 1 has depth n + 1, J_G being
+    the Cohen-Macaulay ideal of 2-minors of a generic 2 x n matrix (Eagon
+    and Northcott); f + d misses it only at K1."""
     n = g.n
+    complete = len(g.edges) == n * (n - 1) // 2
+    if complete and n:
+        return n + 1, n + 1
     lo = sum(is_free_vertex(g, v) for v in g.vertices()) + diameter(g)
     hi = n + 1
-    if n > 2 and not cut_vertices(g) and len(g.edges) < n * (n - 1) // 2:
+    if n > 2 and not complete and not cut_vertices(g):
         hi = n + 2 - len(cs._lattice(g)[1])     # by size, after the empty
     return lo, hi
 
@@ -329,8 +334,9 @@ def verify_deletion_lemmas(corpus, limits=Limits(), corpus_name=""):
                 if del_cm and gv_del_cm is False:
                     violations.append((g6, f"prop-sat-del-cm v={v}"))
         # non-cut-vertex unmixedness transfer
+        nbr = g.neighbor_masks()
         for v in g.vertices():
-            if v in cuts or g.degree(v) == 0:
+            if v in cuts or not nbr[v]:
                 continue
             run.instances += 1
             gv = saturate(g, v)
@@ -470,9 +476,9 @@ def _depth_equality(g, sides, limits):
 
 def neighborhood_cutset_exists(g, v):
     """Does G minus v admit a cutset containing every neighbor of v?"""
-    nb = g.neighbors(v)
+    nb = g.neighbor_masks()[v]
     gv, new_of = delete_vertices(g, [v])
-    target = frozenset(new_of[u] for u in nb)
+    target = frozenset(new for old, new in new_of.items() if nb >> old & 1)
     return any(target <= t.vertices for t in cs.enumerate_cutsets(gv))
 
 

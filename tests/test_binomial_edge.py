@@ -71,8 +71,12 @@ def test_admissible_paths_are_induced():
 def admissible_paths_by_sets(g):
     """admissible_paths on neighbor sets: each i < j grows its paths by a
     depth-first walk over sorted neighbors, testing every earlier path
-    vertex for a chord. The oracle of the bitmask walk."""
-    adj = g.adjacency()
+    vertex for a chord. The oracle of the bitmask walk, on neighbor sets
+    built here from the edges."""
+    adj = {v: set() for v in g.vertices()}
+    for i, j in g.edges:
+        adj[i].add(j)
+        adj[j].add(i)
     out = []
 
     def grow(i, j, path, members):

@@ -45,8 +45,11 @@ def brute_cutsets(g):
 
 def components_by_sets(g, removed):
     """The number of connected classes of g minus ``removed``, by a
-    depth-first walk over neighbor sets."""
-    adj = g.adjacency()
+    depth-first walk over neighbor sets built here from the edges."""
+    adj = {v: set() for v in g.vertices()}
+    for i, j in g.edges:
+        adj[i].add(j)
+        adj[j].add(i)
     seen = set(removed)
     count = 0
     for s in g.vertices():

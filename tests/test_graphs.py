@@ -11,6 +11,7 @@ from beilab.graphs import (Graph, GraphParseError, INFINITY,
                            is_connected, is_free_vertex, parse_edge_list,
                            parse_graph6, path_graph, relabel, saturate)
 from beilab.corpus import random_connected_graph
+from beilab.lab import depth_JG
 from conftest import random_graphs_any
 
 import random
@@ -105,11 +106,29 @@ def test_components_against_networkx():
 
 
 def test_neighbor_masks_match_the_neighbor_sets():
+    # the neighbor sets of networkx, as neighbors() reads the masks
     for g in random_graphs_any(203, 40):
         masks = g.neighbor_masks()
+        h = to_nx(g)
         assert len(masks) == g.n + 1 and masks[0] == 0
         for v in g.vertices():
-            assert masks[v] == sum(1 << u for u in g.neighbors(v))
+            assert masks[v] == sum(1 << u for u in h.neighbors(v))
+            assert g.neighbors(v) == frozenset(h.neighbors(v))
+            assert g.degree(v) == h.degree(v)
+
+
+def test_graph_freezes_any_edge_iterable():
+    # a list, a tuple or a generator of edges is the frozen edge set of
+    # the same graph, which hashes, so every memoized call takes it
+    edges = [(1, 2), (2, 3)]
+    for given_edges in (edges, tuple(edges), (e for e in edges)):
+        g = Graph(3, given_edges)
+        assert g == path_graph(3) and hash(g) == hash(path_graph(3))
+        assert isinstance(g.edges, frozenset)
+        assert depth_JG(g).depth == 4
+    assert Graph(3, [(1, 2)]) == Graph(3, frozenset({(1, 2)}))
+    with pytest.raises(ValueError):
+        Graph(3, [(2, 1)])
 
 
 def test_free_vertices_against_networkx():
@@ -169,13 +188,10 @@ def test_girth_examples(fig):
 
 
 def test_girth_against_networkx():
-    for g in random_graphs(505, 60):
-        try:
-            expect = nx.girth(to_nx(g))
-        except AttributeError:
-            expect = min((len(c) for c in nx.cycle_basis(to_nx(g))),
-                         default=INFINITY)
-        assert girth(g) == expect or expect == float("inf")
+    # exact on connected graphs, and on disconnected ones, isolated
+    # vertices and forests
+    for g in random_graphs(505, 60) + random_graphs_any(507, 300):
+        assert girth(g) == nx.girth(to_nx(g)), emit_graph6(g)
 
 
 def test_diameter_against_networkx(fig):
@@ -193,7 +209,8 @@ def test_induced_cycles(fig):
 
 
 def test_induced_cycles_against_networkx():
-    for g in random_graphs(606, 30, n_max=7):
+    for g in random_graphs(606, 30, n_max=7) + random_graphs_any(607, 60,
+                                                                 n_max=7):
         h = to_nx(g)
         expect = set()
         for cyc in nx.simple_cycles(h):

@@ -414,9 +414,10 @@ def test_depth_equality_asks_each_graph_once(fig, monkeypatch):
     # one of which closes on its graph interval, so five squeezes. The
     # 9-vertex side two at v = 8, Hh@RoK@, stays open after the passes at
     # topk 1 and 2, and Ohtani's lemma at a non-free vertex asks for four
-    # more: its saturation HxBvwK@, the two components of its
-    # deletion, a lone vertex (@) and FawWG, and the deleted saturation
-    # GgzwWC. Nine squeezes, none of them of an ideal squeezed before
+    # more graphs: its saturation HxBvwK@, the two components of its
+    # deletion, a lone vertex (@), which closes on its graph interval, and
+    # FawWG, and the deleted saturation GgzwWC. Eight squeezes, none of
+    # them of an ideal squeezed before
     calls = []
     real = lab.hochster_depth
 
@@ -427,7 +428,7 @@ def test_depth_equality_asks_each_graph_once(fig, monkeypatch):
     monkeypatch.setattr(lab, "hochster_depth", counting)
     for v in (6, 8, 11):
         lab.depth_equality_check(fig, v)
-    assert len(calls) == 9
+    assert len(calls) == 8
     assert len(set(calls)) == len(calls)
 
 
@@ -489,7 +490,8 @@ def test_graph_budgets_yield_exact_answers_or_certified_intervals(
 def test_graph_interval_holds_every_golden_depth():
     # f(G) + d(G) <= depth <= n + 1, or n + 2 - kappa(G) for a 2-connected
     # graph that is not complete, on the golden depths of all 996 connected
-    # graphs with n <= 7; paths and complete graphs close on it
+    # graphs with n <= 7; paths and complete graphs close on it, K1 (the
+    # path and the complete graph on one vertex) included
     reports = [json.loads(line) for name in ("analyze_upto6.jsonl",
                                              "analyze_7.jsonl")
                for line in (DATA / name).read_text().splitlines()]
@@ -500,7 +502,7 @@ def test_graph_interval_holds_every_golden_depth():
         assert lo <= rep["depth"] <= hi, rep["graph"]
         closed += lo == hi
     assert closed > 0
-    for n in range(2, 8):
+    for n in range(1, 8):
         assert lab._graph_interval(path_graph(n)) == (n + 1, n + 1)
         assert lab._graph_interval(complete_graph(n)) == (n + 1, n + 1)
 

@@ -166,10 +166,10 @@ def test_graph_validates_and_builds_neighbors_lazily():
         Graph(2, frozenset({(2, 1)}))
     g, h = path_graph(3), path_graph(3)
     with pytest.raises(AttributeError):
-        object.__getattribute__(g, "_adj")     # not built yet
-    assert g.neighbors(2) == frozenset({1, 3})
-    assert object.__getattribute__(g, "_adj") is g.adjacency()
-    # the neighbor sets are a cache, not a field
+        g._nbr                                  # not built yet
+    assert g.neighbors(2) == frozenset({1, 3}) and g.degree(2) == 2
+    assert g._nbr is g.neighbor_masks() == (0, 0b100, 0b1010, 0b100)
+    # the neighbor masks are a cache, not a field
     assert g == h and hash(g) == hash(h)
     with pytest.raises(AttributeError):
         g.no_such_attribute
