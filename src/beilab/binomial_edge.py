@@ -24,9 +24,6 @@ class PrimeComponentInitial(Record):
     _fields = __slots__ = ("cutset",
                            "mask")  # generating variables in the 2n universe
 
-    def __init__(self, cutset, mask):
-        self._init(cutset, mask)
-
     def size(self):
         return self.mask.bit_count()
 
@@ -155,9 +152,6 @@ class SetupReport(Record):
         "m",
         "results",          # index 1..11 -> whether the identity holds
         "memberships_ok")   # stated generator memberships of I_1'', I_2''
-
-    def __init__(self, m, results, memberships_ok):
-        self._init(m, results, memberships_ok)
 
     def all_hold(self):
         return self.memberships_ok and all(self.results.values())

@@ -18,9 +18,6 @@ class Cutset(Record):
     _fields = __slots__ = ("vertices",
                            "c")     # component count of G minus the cutset
 
-    def __init__(self, vertices, c):
-        self._init(vertices, c)
-
     def __len__(self):
         return len(self.vertices)
 
@@ -30,16 +27,10 @@ class UnmixednessReport(Record):
                            "witness",   # first cutset violating c(T) = |T| + c
                            "dim")       # n + max_T (c(T) - |T|)
 
-    def __init__(self, unmixed, witness, dim):
-        self._init(unmixed, witness, dim)
-
 
 class AccessibilityReport(Record):
     # witness: an inaccessible cutset, or the unmixedness witness
     _fields = __slots__ = ("accessible", "witness")
-
-    def __init__(self, accessible, witness):
-        self._init(accessible, witness)
 
 
 def component_count(g, t=frozenset()):

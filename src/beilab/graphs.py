@@ -37,7 +37,7 @@ class Graph(Record):
         for (i, j) in edges:
             if not (1 <= i < j <= n):
                 raise ValueError(f"bad edge ({i},{j}) for n={n}")
-        self._init(n, edges)
+        super().__init__(n, edges)
 
     @staticmethod
     def from_edges(n, edge_iter):
@@ -80,9 +80,6 @@ class BlockDecomposition(Record):
     _fields = __slots__ = ("blocks",        # tuple of frozensets of vertices
                            "cut_vertices")  # frozenset
 
-    def __init__(self, blocks, cut_vertices):
-        self._init(blocks, cut_vertices)
-
 
 class Decomposition(Record):
     """A two-sided split of a connected graph at a cut vertex.
@@ -95,9 +92,6 @@ class Decomposition(Record):
     """
 
     _fields = __slots__ = ("graph", "m", "sides")
-
-    def __init__(self, graph, m, sides):
-        self._init(graph, m, sides)
 
 
 # ---------------------------------------------------------------------------
@@ -529,32 +523,20 @@ def glue_at(g, v, h, w):
     return Graph.from_edges(g.n + h.n - 1, edges)
 
 
-def block_with_whiskers(g, block, whisker_at):
-    """Rebuild a block of g, keeping the branches at cut vertices not in
-    ``whisker_at`` and replacing each branch at a cut vertex in
-    ``whisker_at`` with a fresh whisker.
+def block_with_whiskers(g, block):
+    """A block of g with a fresh whisker at each cut vertex of g in it, in
+    place of the branches hanging there.
 
-    ``block`` is a vertex set that must be a block of g; ``whisker_at`` is a
-    subset of the cut vertices of g inside the block. Fresh whisker tips are
-    appended as the largest labels, and surviving vertices are relabeled
-    order-preservingly.
+    ``block`` is a vertex set that must be a block of g. The block's
+    vertices are relabeled order-preservingly, and the whisker tips are
+    appended as the largest labels.
     """
     bd = blocks(g)
     block = frozenset(block)
     if block not in set(bd.blocks):
         raise ValueError("not a block of the graph")
-    whisker_at = frozenset(whisker_at)
-    if not whisker_at <= (bd.cut_vertices & block):
-        raise ValueError("whisker set must consist of cut vertices of the block")
-    # vertices kept: the block plus every branch hanging off a cut vertex
-    # of the block that is NOT whiskered
-    keep = set(block)
-    for v in (bd.cut_vertices & block) - whisker_at:
-        for comp in connected_components(g, frozenset([v])):
-            if not comp & block:
-                keep |= comp   # branch hanging off v, kept verbatim
-    h, new_of = delete_vertices(g, set(g.vertices()) - keep)
-    for v in sorted(whisker_at):
+    h, new_of = delete_vertices(g, set(g.vertices()) - block)
+    for v in sorted(bd.cut_vertices & block):
         h = add_whisker(h, new_of[v])
     return h
 

@@ -34,7 +34,7 @@ class FieldSpec(Record):
         if p and not (2 <= p < 1 << 31
                       and all(p % d for d in range(2, isqrt(p) + 1))):
             raise ValueError(f"{p} is neither 0 nor a prime below 2**31")
-        self._init(characteristic)
+        super().__init__(characteristic)
 
 
 QQ = FieldSpec(0)
@@ -45,13 +45,13 @@ class Limits(Record):
     its squeeze: lattice_budget the size of the lcm lattice, face_budget
     the faces its homology would enumerate on each restricted complex,
     charged before the complex is reduced to its strong core (also the
-    Reisner face estimate)."""
+    Reisner face estimate). Left out, field defaults to QQ,
+    lattice_budget to DEFAULT_LATTICE_BUDGET and face_budget to
+    DEFAULT_FACE_BUDGET."""
 
     _fields = __slots__ = ("field", "lattice_budget", "face_budget")
-
-    def __init__(self, field=QQ, lattice_budget=DEFAULT_LATTICE_BUDGET,
-                 face_budget=DEFAULT_FACE_BUDGET):
-        self._init(field, lattice_budget, face_budget)
+    _defaults = {"field": QQ, "lattice_budget": DEFAULT_LATTICE_BUDGET,
+                 "face_budget": DEFAULT_FACE_BUDGET}
 
 
 class CMCertificate(Record):
@@ -60,9 +60,7 @@ class CMCertificate(Record):
     ("accessibility", T) or ("depth", depth, dim)."""
 
     _fields = __slots__ = ("is_cm", "witness")
-
-    def __init__(self, is_cm, witness=None):
-        self._init(is_cm, witness)
+    _defaults = {"witness": None}
 
 
 class DepthResult(Record):
@@ -71,9 +69,7 @@ class DepthResult(Record):
     squeeze's certified (depth_lb, n - pd_lb)."""
 
     _fields = __slots__ = ("depth", "witness", "depth_bounds")
-
-    def __init__(self, depth, witness=None, depth_bounds=None):
-        self._init(depth, witness, depth_bounds)
+    _defaults = {"witness": None, "depth_bounds": None}
 
 
 class BudgetExceeded(Exception):
@@ -430,12 +426,12 @@ def hochster_depth(ideal, limits=Limits(), seed=None, narrow=None):
     is exact with no scan, and the witness is None. When no W is large
     enough to scan, n - pd_lb is exact. If the bounds are still apart
     after the passes at topk 1 and 2, ``narrow(lo, hi)``, if given,
-    returns a certified interval within them, and the passes at topk 3
-    and 4 and then the scan start from it. The scan stops the
-    moment the bounds meet; if they never do, the completed lattice scan
-    is itself exact. It starts at degree 0: H~_-1 of W is nonzero only
-    when every variable of W is a generator, so |W| is at most the big
-    height, pd_lb's start. In degree i it skips W with
+    returns a certified interval within them, and the scan starts from
+    it with no pass at topk 3 or 4; those run only without ``narrow``.
+    The scan stops the moment the bounds meet; if they never do, the
+    completed lattice scan is itself exact. It starts at degree 0: H~_-1
+    of W is nonzero only when every variable of W is a generator, so |W|
+    is at most the big height, pd_lb's start. In degree i it skips W with
     |W| > n - depth_lb + i + 1, as pd <= n - depth_lb. The lattice is
     built, and charged to its budget, only when a scan runs; it is sorted
     by the total key (-|W|, W), so the witness is the first (W, i) in that
@@ -465,13 +461,14 @@ def hochster_depth(ideal, limits=Limits(), seed=None, narrow=None):
         depth_lb = n - pd_lb    # no W is large enough to scan: exact
     # sharpen the bound before any lattice; it is needed only up to
     # n - pd_lb, and each topk reuses the nodes a lower one took there;
-    # narrow runs between the cheap passes (topk 1 and 2) and the costly
-    # ones (topk 3 and 4)
+    # narrow replaces the costly passes (topk 3 and 4): after it, over the
+    # graphs with n <= 7, they spared the scan no lattice and no homology
     for topk in range(1, 5):
-        if topk == 3 and narrow is not None and n - pd_lb > depth_lb:
+        if depth_lb >= n - pd_lb:
+            break
+        if topk == 3 and narrow is not None:
             depth_lb, depth_ub = narrow(depth_lb, n - pd_lb)
             pd_lb = n - depth_ub
-        if depth_lb >= n - pd_lb:
             break
         depth_lb = max(depth_lb, _depth_lower_bound(n, ideal.gens, topk,
                                                     n - pd_lb))

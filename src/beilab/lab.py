@@ -32,27 +32,18 @@ class AnalysisReport(Record):
         "cm",               # None = indeterminate
         "cm_witness", "field_char", "depth", "dim")
 
-    def __init__(self, graph6, n, girth, unmixed, unmixed_witness,
-                 accessible, accessible_witness, cm, cm_witness, field_char,
-                 depth, dim):
-        self._init(graph6, n, girth, unmixed, unmixed_witness, accessible,
-                   accessible_witness, cm, cm_witness, field_char, depth,
-                   dim)
-
 
 class TheoremVerdict(Record):
     """violations are (graph6, detail) pairs; hypothesis_relevant the
     candidate counterexamples to the open hypothesis, not engine failures;
     findings search outputs (expected empty); indeterminate counts the
-    answers out of budget, or over a cap."""
+    answers out of budget, or over a cap. The last four default to (),
+    (), () and 0."""
 
     _fields = __slots__ = ("theorem_id", "corpus", "instances", "violations",
                            "hypothesis_relevant", "findings", "indeterminate")
-
-    def __init__(self, theorem_id, corpus, instances, violations=(),
-                 hypothesis_relevant=(), findings=(), indeterminate=0):
-        self._init(theorem_id, corpus, instances, violations,
-                   hypothesis_relevant, findings, indeterminate)
+    _defaults = {"violations": (), "hypothesis_relevant": (), "findings": (),
+                 "indeterminate": 0}
 
     def clean(self):
         return not self.violations
@@ -115,8 +106,8 @@ def _depth(g, limits):
     sum of theirs. A connected G tries the graph's own interval, which
     needs no initial ideal; the squeeze's bounds on in(J_G), which has the
     depth of J_G (Conca-Varbaro), seeded with it, at topk 1 and 2;
-    Ohtani's exact sequence while they are apart; the bounds at topk 3
-    and 4; and only then the lcm lattice scan."""
+    Ohtani's exact sequence while they are apart; and only then the lcm
+    lattice scan, with no pass at topk 3 or 4."""
     comps = connected_components(g)
     if len(comps) > 1:
         vertices = set(g.vertices())
@@ -389,7 +380,7 @@ def verify_gluing_theorems(corpus, limits=Limits(), corpus_name=""):
         if g_cm:
             for b in bd.blocks:
                 run.instances += 1
-                bw = block_with_whiskers(g, b, bd.cut_vertices & b)
+                bw = block_with_whiskers(g, b)
                 if run.cm(bw) is False:
                     run.violations.append(
                         (g6, f"block-whiskers B={sorted(b)}"))
@@ -407,8 +398,7 @@ def verify_blocks_corollary(corpus, limits=Limits(), corpus_name=""):
         if not bd.cut_vertices:
             continue
         run.instances += 1
-        if all(run.cm(block_with_whiskers(g, b, bd.cut_vertices & b))
-               for b in bd.blocks):
+        if all(run.cm(block_with_whiskers(g, b)) for b in bd.blocks):
             if run.cm(g) is False:
                 run.hypothesis_relevant.append(
                     (emit_graph6(g), "blocks-converse"))
@@ -456,9 +446,6 @@ class DepthEqualityRecord(Record):
     _fields = __slots__ = ("lhs", "rhs",
                            "equal")     # None = indeterminate
 
-    def __init__(self, lhs, rhs, equal):
-        self._init(lhs, rhs, equal)
-
 
 def depth_equality_check(g, v, limits=Limits()):
     """depth(S/J_G) versus depth of the two whiskered sides minus four."""
@@ -485,11 +472,6 @@ def neighborhood_cutset_exists(g, v):
 class DepthQuestionFilter(Record):
     _fields = __slots__ = ("side1_has_cutset", "side2_has_cutset",
                            "v_free_in_side1", "v_free_in_side2")
-
-    def __init__(self, side1_has_cutset, side2_has_cutset, v_free_in_side1,
-                 v_free_in_side2):
-        self._init(side1_has_cutset, side2_has_cutset, v_free_in_side1,
-                   v_free_in_side2)
 
     @property
     def satisfied(self):

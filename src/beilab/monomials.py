@@ -50,9 +50,6 @@ class MonomialIdeal(Record):
     _fields = __slots__ = ("nvars",
                            "gens")  # sorted antichain of masks
 
-    def __init__(self, nvars, gens):
-        self._init(nvars, gens)
-
     @staticmethod
     def make(nvars, masks):
         masks = list(masks)
@@ -161,9 +158,6 @@ class SimplicialComplex(Record):
 
     _fields = __slots__ = ("nverts",
                            "facets")    # antichain of masks, sorted
-
-    def __init__(self, nverts, facets):
-        self._init(nverts, facets)
 
     @staticmethod
     def make(nverts, masks):

@@ -146,7 +146,7 @@ def test_block_with_whiskers_reuses_the_block_decomposition(fig):
     blocks.cache_clear()
     bd = blocks(fig)
     for b in bd.blocks:
-        block_with_whiskers(fig, b, bd.cut_vertices & b)
+        block_with_whiskers(fig, b)
     # one Tarjan pass for the graph, none more per block
     assert blocks.cache_info().misses == 1
 
@@ -302,10 +302,14 @@ def test_decompose_labels_sides():
 def test_block_with_whiskers(fig):
     bd = blocks(fig)
     b = next(x for x in bd.blocks if frozenset(x) == frozenset({8, 9, 10, 11}))
-    bw = block_with_whiskers(fig, b, frozenset(b) & bd.cut_vertices)
+    bw = block_with_whiskers(fig, b)
     # block (4 vertices) + one whisker per cut vertex among {8, 11}
     assert bw.n == 6
     assert len(cut_vertices(bw)) == 2
+    # a union of two blocks, and a part of one, is no block
+    for other in ({7, 8, 9, 10, 11}, {8, 9, 10}):
+        with pytest.raises(ValueError, match="not a block"):
+            block_with_whiskers(fig, other)
 
 
 @settings(max_examples=50, deadline=None)

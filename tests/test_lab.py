@@ -408,6 +408,22 @@ def test_depth_lower_bound_work_on_the_example(fig, monkeypatch):
     assert CountingMemo.stores <= 1000
 
 
+def test_analyze_runs_no_topk_3_or_4_pass(corpus6, monkeypatch):
+    # after Ohtani's lemma the squeeze goes straight to the scan: the
+    # passes at topk 3 and 4 run only in a squeeze called without it
+    lemma = homology._depth_lower_bound
+    topks = set()
+
+    def counted(n, gens, topk, cap=None):
+        topks.add(topk)
+        return lemma(n, gens, topk, cap)
+
+    monkeypatch.setattr(homology, "_depth_lower_bound", counted)
+    for g in corpus6:
+        lab.analyze(g)
+    assert topks == {1, 2}
+
+
 def test_depth_equality_asks_each_graph_once(fig, monkeypatch):
     # the example's own depth is asked at every cut vertex, and one
     # whiskered side is the same graph at two of them: six graphs in all,
@@ -502,6 +518,8 @@ def test_graph_interval_holds_every_golden_depth():
         assert lo <= rep["depth"] <= hi, rep["graph"]
         closed += lo == hi
     assert closed > 0
+    # K_{1,1,3}: only n + 2 - kappa closes it; n + min_T (c(T) - |T|) is 6
+    assert lab._graph_interval(parse_graph6("D}o")) == (5, 5)
     for n in range(1, 8):
         assert lab._graph_interval(path_graph(n)) == (n + 1, n + 1)
         assert lab._graph_interval(complete_graph(n)) == (n + 1, n + 1)

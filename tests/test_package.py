@@ -151,6 +151,16 @@ def test_record_behaves_as_a_frozen_dataclass(cls, fields, defaults):
     assert {k: getattr(plain, k) for k in defaults} == defaults
     changed = {k: v for k, v in fields.items() if k in defaults}
     assert plain._replace(**changed) == rec
+    # a call that does not fit the fields raises, naming the class
+    values = list(fields.values())
+    misfits = [(values + [None], {}),               # one value too many
+               ((), dict(fields, other=None)),      # an unknown field
+               (values[:1], fields)]                # by position and name
+    if required:                                    # a required field left out
+        misfits.append(((), dict(list(required.items())[1:])))
+    for args, kwargs in misfits:
+        with pytest.raises(TypeError, match=cls.__name__):
+            cls(*args, **kwargs)
 
 
 def test_records_of_two_classes_never_compare_equal():
