@@ -6,7 +6,7 @@ Subcommands:
   initial-ideal  print the square-free initial ideal generators
 
 Exit codes: 0 success, 1 parse or usage error, violation, or standard
-output closed early, 2 indeterminate (budget or cap hit), 3
+output closed early or at start, 2 indeterminate (budget or cap hit), 3
 hypothesis-relevant findings only, 64 unknown theorem id; a violation
 beats indeterminate, which beats findings.
 """
@@ -101,12 +101,17 @@ def _limits(args):
 
 def _read_graphs(path):
     """The graphs of a file, or of stdin for "-", or None once the reason
-    they cannot be read or parsed is printed on stderr."""
+    they cannot be read or parsed is printed on stderr. Both are read as
+    bytes and must be ASCII."""
     try:
-        if path == "-":
-            return parse_input(sys.stdin.read())
-        with open(path, "r", encoding="ascii") as fh:
-            return parse_input(fh.read())
+        if path != "-":
+            with open(path, "rb") as fh:
+                data = fh.read()
+        elif sys.stdin is None:
+            raise OSError("standard input is closed")
+        else:
+            data = sys.stdin.buffer.read()
+        return parse_input(data.decode("ascii"))
     except UnicodeDecodeError as e:
         error = f"byte {e.start}: not ASCII text"
     except (GraphParseError, OSError) as e:
@@ -226,6 +231,10 @@ def cmd_initial_ideal(args, out=sys.stdout):
 
 
 def main(argv=None):
+    if sys.stdout is None:
+        # started with standard output closed: no report could be printed
+        print("error: standard output is closed", file=sys.stderr)
+        return EXIT_PARSE
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as stop:

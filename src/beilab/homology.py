@@ -352,9 +352,8 @@ def _depth_lower_bound(n, gens, topk, cap=None):
     stop + 1, the I : x child up to min(I + x less 1, stop), and the rest
     of k variable generators up to cap + k. The memo maps (n, gens, topk),
     not ideal objects, to (b, exact), where exact means b == B. An entry
-    serves a later call at the same topk when exact, and at that or any
-    higher topk when b is at least the call's cap, since B never falls as
-    topk grows.
+    serves a later call at its own topk only, when exact or when b is at
+    least the call's cap.
     """
     if not gens:
         return n
@@ -362,10 +361,9 @@ def _depth_lower_bound(n, gens, topk, cap=None):
         raise ValueError("unit ideal: the quotient ring is zero")
     if cap is None:
         cap = n     # no bound exceeds n: uncapped
-    for k in range(topk, 0, -1):
-        hit = _lemma_memo.get((n, gens, k))
-        if hit is not None and (hit[0] >= cap or k == topk and hit[1]):
-            return hit[0]
+    hit = _lemma_memo.get((n, gens, topk))
+    if hit is not None and (hit[0] >= cap or hit[1]):
+        return hit[0]
     others = tuple(g for g in gens if g & (g - 1))
     if len(others) < len(gens):
         k = len(gens) - len(others)
@@ -419,15 +417,15 @@ def hochster_depth(ideal, limits=Limits(), seed=None, narrow=None):
     Squeeze strategy: depth <= n - pd where pd is pushed up by Hochster
     witnesses (nonzero reduced homology of induced subcomplexes, scanned
     over the lcm lattice by ascending homological degree, so cheap degrees
-    come first), and depth >= the depth-lemma recursion bound, sharpened
-    from topk 1 up to 4, each capped at n - pd_lb, before any lattice is
-    built. ``seed``, a certified (lo, hi) interval on the depth known from
-    outside, starts both bounds. When the two bounds meet there the answer
-    is exact with no scan, and the witness is None. When no W is large
-    enough to scan, n - pd_lb is exact. If the bounds are still apart
-    after the passes at topk 1 and 2, ``narrow(lo, hi)``, if given,
-    returns a certified interval within them, and the scan starts from
-    it with no pass at topk 3 or 4; those run only without ``narrow``.
+    come first), and depth >= the depth-lemma recursion bound, in one
+    pass capped at n - pd_lb before any lattice is built: at topk 2 when
+    ``narrow`` is given, and at topk 4 without it. ``seed``, a certified
+    (lo, hi) interval on the depth known from outside, starts both bounds.
+    When the two bounds meet there the answer is exact with no scan, and
+    the witness is None. When no W is large enough to scan, n - pd_lb is
+    exact. If the bounds are still apart after the pass,
+    ``narrow(lo, hi)``, if given, returns a certified interval within
+    them, and the scan starts from it.
     The scan stops the moment the bounds meet; if they never do, the
     completed lattice scan is itself exact. It starts at degree 0: H~_-1
     of W is nonzero only when every variable of W is a generator, so |W|
@@ -460,18 +458,14 @@ def hochster_depth(ideal, limits=Limits(), seed=None, narrow=None):
     if pd_lb + 2 > max_size:
         depth_lb = n - pd_lb    # no W is large enough to scan: exact
     # sharpen the bound before any lattice; it is needed only up to
-    # n - pd_lb, and each topk reuses the nodes a lower one took there;
-    # narrow replaces the costly passes (topk 3 and 4): after it, over the
-    # graphs with n <= 7, they spared the scan no lattice and no homology
-    for topk in range(1, 5):
-        if depth_lb >= n - pd_lb:
-            break
-        if topk == 3 and narrow is not None:
-            depth_lb, depth_ub = narrow(depth_lb, n - pd_lb)
-            pd_lb = n - depth_ub
-            break
-        depth_lb = max(depth_lb, _depth_lower_bound(n, ideal.gens, topk,
-                                                    n - pd_lb))
+    # n - pd_lb. narrow replaces the costly topk 3 and 4: after it, over
+    # the graphs with n <= 7, they spared the scan no lattice and no homology
+    if depth_lb < n - pd_lb:
+        depth_lb = max(depth_lb, _depth_lower_bound(
+            n, ideal.gens, 4 if narrow is None else 2, n - pd_lb))
+    if depth_lb < n - pd_lb and narrow is not None:
+        depth_lb, depth_ub = narrow(depth_lb, n - pd_lb)
+        pd_lb = n - depth_ub
     witness = None
     lattice = None
     spent = 0       # faces charged to face_budget

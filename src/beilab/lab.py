@@ -105,9 +105,9 @@ def _depth(g, limits):
     ideals in disjoint variables, one per component, so its depth is the
     sum of theirs. A connected G tries the graph's own interval, which
     needs no initial ideal; the squeeze's bounds on in(J_G), which has the
-    depth of J_G (Conca-Varbaro), seeded with it, at topk 1 and 2;
-    Ohtani's exact sequence while they are apart; and only then the lcm
-    lattice scan, with no pass at topk 3 or 4."""
+    depth of J_G (Conca-Varbaro), seeded with it, from one depth-lemma
+    pass at topk 2 rather than 4; Ohtani's exact sequence while they are
+    apart; and only then the lcm lattice scan."""
     comps = connected_components(g)
     if len(comps) > 1:
         vertices = set(g.vertices())

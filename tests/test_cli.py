@@ -4,6 +4,7 @@ import json
 import os
 import pathlib
 import resource
+import shlex
 import subprocess
 import sys
 
@@ -250,7 +251,7 @@ def test_verify_exit_code_precedence(monkeypatch, violations, indeterminate,
                         TheoremVerdict("fake", "-", len(graphs), violations,
                                        findings=findings,
                                        indeterminate=indeterminate))
-    monkeypatch.setattr(sys, "stdin", io.StringIO("Bg\n"))
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"Bg\n")))
     args = cli.build_parser().parse_args(["verify", "fake", "-"])
     assert cli.cmd_verify(args, out=io.StringIO()) == code
 
@@ -259,7 +260,8 @@ def test_verify_exit_code_precedence(monkeypatch, violations, indeterminate,
 def test_verify_disconnected_and_empty_graphs(monkeypatch, theorem):
     # P3 + K1 has a cut vertex, 2K2 has none, "0 0" is the empty graph
     for text in ("4 2\n1 2\n2 3\n", "4 2\n1 2\n3 4\n", "0 0\n"):
-        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        monkeypatch.setattr(sys, "stdin",
+                            io.TextIOWrapper(io.BytesIO(text.encode())))
         args = cli.build_parser().parse_args(["verify", theorem, "-"])
         buf = io.StringIO()
         assert cli.cmd_verify(args, out=buf) in (0, 2, 3)
@@ -390,7 +392,8 @@ def test_closed_stdout_exits_1_without_traceback(command):
 def test_main_writes_to_the_current_stdout(monkeypatch):
     # main writes where sys.stdout points when it is called, not where it
     # pointed when the module was imported
-    monkeypatch.setattr(sys, "stdin", io.StringIO("3 2\n1 2\n2 3\n"))
+    monkeypatch.setattr(sys, "stdin",
+                        io.TextIOWrapper(io.BytesIO(b"3 2\n1 2\n2 3\n")))
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         assert cli.main(["initial-ideal", "-"]) == 0
@@ -408,15 +411,38 @@ def test_zero_budgets_and_max_n_are_valid():
 @pytest.mark.parametrize("command", [["analyze"], ["verify", "girth"],
                                      ["initial-ideal"]],
                          ids=["analyze", "verify", "initial-ideal"])
-@pytest.mark.parametrize("data", [b"3 1\n1 x\n", b"-1 0\n",
-                                  "Bg\n\u00e9\n".encode()],
-                         ids=["non-integer", "negative-n", "non-ascii"])
+@pytest.mark.parametrize("data", [
+    b"3 1\n1 x\n", b"-1 0\n", "Bg\n\u00e9\n".encode(),
+    "\u0663 \u0662\n\u0661 \u0662\n\u0662 \u0663\n".encode()],
+    ids=["non-integer", "negative-n", "non-ascii", "arabic-digits"])
 def test_malformed_input_is_a_parse_error(tmp_path, command, data):
+    # a file and stdin are read alike: Arabic-Indic digits, which int()
+    # accepts, are not ASCII, so "3 2 / 1 2 / 2 3" in them is no P3
     path = tmp_path / "input.txt"
     path.write_bytes(data)
-    code, out, err = run_cli([*command, str(path)])
-    assert code == 1 and out == ""
-    assert "error" in err and "Traceback" not in err
+    for source, stdin in ((str(path), b""), ("-", data)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "beilab.cli", *command, source],
+            input=stdin, capture_output=True, timeout=600)
+        err = proc.stderr.decode()
+        assert proc.returncode == 1 and proc.stdout == b"", source
+        assert "error" in err and "Traceback" not in err
+        if not data.isascii():
+            assert "not ASCII text" in err
+
+
+@pytest.mark.parametrize("redirect", ["- <&-", "{corpus} >&-"],
+                         ids=["stdin", "stdout"])
+def test_closed_standard_stream_exits_1_without_traceback(redirect):
+    # a stream closed before the command starts is None in sys: it ends in
+    # one error line and exit 1, before any report is computed
+    command = "exec \"$0\" -m beilab.cli analyze " + redirect.format(
+        corpus=shlex.quote(str(DATA / "connected_upto6.g6")))
+    proc = subprocess.run(["sh", "-c", command, sys.executable],
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
 
 
 def test_determinism_across_thread_counts(tmp_path):

@@ -322,9 +322,29 @@ def test_budget_indeterminate():
     assert c.is_cm is None and c.witness is None
 
 
+def test_bare_squeeze_runs_one_pass_at_topk_4(monkeypatch):
+    # with no narrow, the lower bound is one depth-lemma pass at topk 4:
+    # every call, the recursion's included, is at topk 4, and the join
+    # K_2 * 3K_1 keeps the interval (5, 6) of that pass under a lattice
+    # budget of 2
+    lemma = homology._depth_lower_bound
+    topks = set()
+
+    def counted(n, gens, topk, cap=None):
+        topks.add(topk)
+        return lemma(n, gens, topk, cap)
+
+    monkeypatch.setattr(homology, "_lemma_memo", {})
+    monkeypatch.setattr(homology, "_depth_lower_bound", counted)
+    r = hochster_depth(initial_ideal(parse_graph6("D}o")),
+                       Limits(lattice_budget=2))
+    assert r.depth is None and r.depth_bounds == (5, 6)
+    assert topks == {4}
+
+
 def test_seed_and_narrow_start_the_scan_from_known_bounds(monkeypatch):
     # C9's squeeze alone stays at (8, 9) through its scan; a seed that
-    # closes, or a narrow that closes after the passes, builds no lattice
+    # closes, or a narrow that closes after the pass, builds no lattice
     def no_lattice(*args):
         raise AssertionError("no lcm lattice when the bounds have met")
 
@@ -339,7 +359,7 @@ def test_seed_and_narrow_start_the_scan_from_known_bounds(monkeypatch):
 
     assert hochster_depth(c9, seed=(4, 9), narrow=narrow).depth == 9
     assert asked == [(8, 9)]
-    # bounds that meet in the passes ask nothing of narrow
+    # bounds that meet in the pass ask nothing of narrow
     assert hochster_depth(initial_ideal(cycle_graph(5)),
                           narrow=narrow).depth == 5
     assert len(asked) == 1
@@ -466,8 +486,8 @@ def test_depth_lower_bound_matches_reference_recursion():
 
 def test_capped_depth_lower_bound_agrees_below_the_cap(monkeypatch):
     # a call capped at c returns b <= B with min(b, c) == min(B, c), B the
-    # reference bound at its topk; the memo it leaves then serves uncapped
-    # calls at that topk and at topk 4, which must still return B there.
+    # reference bound at its topk; uncapped calls after it, at that topk
+    # and at topk 4, must still return B there, whatever the memo holds.
     # The first ideal, the edge ideal of a path on 7 of its 8 variables,
     # has B = 3 at topk 1 and 4 at topk 4, and its call at topk 4 capped
     # at 3 stops at 3, short of B

@@ -390,11 +390,10 @@ def test_depth_equality_on_the_whole_example(fig):
 
 def test_depth_lower_bound_work_on_the_example(fig, monkeypatch):
     # a depth-lemma node with variable generators is the node without them,
-    # less one for each, so I + x children share their work; each topk
-    # pass is capped at n - pd_lb and reuses every node a lower topk took
-    # to its cap: the three checks, which close on the bounds alone,
-    # evaluate at most 1,000 nodes, each stored once in a memo that starts
-    # empty
+    # less one for each, so I + x children share their work; the one pass
+    # is capped at n - pd_lb: the three checks, which close on the bounds
+    # alone, evaluate at most 1,000 nodes, each stored once in a memo that
+    # starts empty
     class CountingMemo(dict):
         stores = 0
 
@@ -408,9 +407,10 @@ def test_depth_lower_bound_work_on_the_example(fig, monkeypatch):
     assert CountingMemo.stores <= 1000
 
 
-def test_analyze_runs_no_topk_3_or_4_pass(corpus6, monkeypatch):
-    # after Ohtani's lemma the squeeze goes straight to the scan: the
-    # passes at topk 3 and 4 run only in a squeeze called without it
+def test_analyze_runs_one_topk_2_pass(corpus6, monkeypatch):
+    # a squeeze with Ohtani's lemma bounds the depth from below in one
+    # pass at topk 2, then goes to the lemma and the scan: the pass at
+    # topk 4 runs only in a squeeze called without it
     lemma = homology._depth_lower_bound
     topks = set()
 
@@ -421,7 +421,25 @@ def test_analyze_runs_no_topk_3_or_4_pass(corpus6, monkeypatch):
     monkeypatch.setattr(homology, "_depth_lower_bound", counted)
     for g in corpus6:
         lab.analyze(g)
-    assert topks == {1, 2}
+    assert topks == {2}
+
+
+def test_analyze_depth_lemma_work_over_n6(corpus6, monkeypatch):
+    # one pass at topk 2 per squeeze, counted from empty memos: a node
+    # is evaluated at one topk only, so 2,799 calls suffice
+    lemma = homology._depth_lower_bound
+    calls = 0
+
+    def counted(n, gens, topk, cap=None):
+        nonlocal calls
+        calls += 1
+        return lemma(n, gens, topk, cap)
+
+    monkeypatch.setattr(homology, "_lemma_memo", {})
+    monkeypatch.setattr(homology, "_depth_lower_bound", counted)
+    for g in corpus6:
+        lab.analyze(g)
+    assert calls <= 2799
 
 
 def test_depth_equality_asks_each_graph_once(fig, monkeypatch):
