@@ -59,7 +59,7 @@ _FLAGS = {
     "--lattice-budget": (_at_least(0), DEFAULT_LATTICE_BUDGET, None),
     "--max-n": (_at_least(0), 16, None),
     "--field": (_characteristic, 0, "characteristic: 0 or a prime"),
-    "--threads": (_at_least(1), 1, None),
+    "--threads": (_at_least(1), 1, "accepted for compatibility; no effect"),
 }
 
 
@@ -168,20 +168,15 @@ def _analyze_one(g, limits, max_n):
 
 
 def cmd_analyze(args, out=sys.stdout):
-    # here, not at module level: it loads logging, and no other command
-    # starts a pool
-    from concurrent.futures import ThreadPoolExecutor
-
+    # each report is printed as it is made, so that a reader who stops
+    # reading stops the work; --threads is accepted and selects nothing
     limits = _limits(args)
     graphs = _read_graphs(args.input)
     if graphs is None:
         return EXIT_PARSE
-    # output order matches input order regardless of completion order
-    with ThreadPoolExecutor(max_workers=args.threads) as pool:
-        reports = list(pool.map(
-            lambda g: _analyze_one(g, limits, args.max_n), graphs))
     status = EXIT_OK
-    for rep in reports:
+    for g in graphs:
+        rep = _analyze_one(g, limits, args.max_n)
         print(rep, file=out)
         if '"budget"' in rep:
             status = EXIT_INDETERMINATE

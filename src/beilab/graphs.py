@@ -179,6 +179,15 @@ def emit_graph6(g):
     return bytes(out).decode("ascii")
 
 
+def _decimal(tok):
+    """An ASCII decimal integer with an optional leading '-'. int() alone
+    would also read '+1', '1_0' and digits of other scripts."""
+    digits = tok[1:] if tok.startswith("-") else tok
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(tok)
+    return int(tok)
+
+
 def parse_edge_list(text):
     """Parse the 'n m' / 'u v' edge-list text format. An edge may come in
     either order; an endpoint outside 1..n, a loop or a repeated edge is an
@@ -190,7 +199,7 @@ def parse_edge_list(text):
     if len(head) != 2:
         raise GraphParseError("line 1: expected 'n m'")
     try:
-        n, m = int(head[0]), int(head[1])
+        n, m = _decimal(head[0]), _decimal(head[1])
     except ValueError:
         raise GraphParseError("line 1: expected integers 'n m'") from None
     if n < 0 or m < 0:
@@ -203,7 +212,7 @@ def parse_edge_list(text):
         if len(parts) != 2:
             raise GraphParseError(f"line {k}: expected 'u v'")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = _decimal(parts[0]), _decimal(parts[1])
         except ValueError:
             raise GraphParseError(f"line {k}: expected integers 'u v'") from None
         if not (1 <= u <= n and 1 <= v <= n):

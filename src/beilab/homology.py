@@ -484,9 +484,9 @@ def hochster_depth(ideal, limits=Limits(), seed=None, narrow=None):
                 if size > n - depth_lb + i + 1:
                     continue    # pd <= n - depth_lb: H~_i(W) vanishes
                 if i == 0:
-                    # H~_0 sees only vertices and edges, so the restricted
-                    # faces need no antichain pass
-                    facets = tuple({f & w for f in cx.facets})
+                    # H~_0 counts components: the restricted faces need no
+                    # antichain pass, and no rank is computed
+                    nonzero = _components({f & w for f in cx.facets}) > 1
                 else:
                     facets = cx.restrict(w).facets
                     if facets != (0,) and not _is_cone(facets):
@@ -496,7 +496,8 @@ def hochster_depth(ideal, limits=Limits(), seed=None, narrow=None):
                         if spent > face_budget:
                             raise BudgetExceeded(
                                 "homology face budget exceeded")
-                if reduced_ranks_from_facets(facets, field, i).get(i, 0):
+                    nonzero = i in reduced_ranks_from_facets(facets, field, i)
+                if nonzero:
                     pd_lb = size - i - 1
                     witness = (w, i)
             i += 1

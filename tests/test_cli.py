@@ -413,11 +413,14 @@ def test_zero_budgets_and_max_n_are_valid():
                          ids=["analyze", "verify", "initial-ideal"])
 @pytest.mark.parametrize("data", [
     b"3 1\n1 x\n", b"-1 0\n", "Bg\n\u00e9\n".encode(),
-    "\u0663 \u0662\n\u0661 \u0662\n\u0662 \u0663\n".encode()],
-    ids=["non-integer", "negative-n", "non-ascii", "arabic-digits"])
+    "\u0663 \u0662\n\u0661 \u0662\n\u0662 \u0663\n".encode(),
+    b"3 2\n+1 2\n2 3\n"],
+    ids=["non-integer", "negative-n", "non-ascii", "arabic-digits",
+         "plus-sign"])
 def test_malformed_input_is_a_parse_error(tmp_path, command, data):
     # a file and stdin are read alike: Arabic-Indic digits, which int()
-    # accepts, are not ASCII, so "3 2 / 1 2 / 2 3" in them is no P3
+    # accepts, are not ASCII, so "3 2 / 1 2 / 2 3" in them is no P3; nor
+    # is it with a "+1", which int() accepts too
     path = tmp_path / "input.txt"
     path.write_bytes(data)
     for source, stdin in ((str(path), b""), ("-", data)):
@@ -443,6 +446,30 @@ def test_closed_standard_stream_exits_1_without_traceback(redirect):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1
+
+
+def test_analyze_stops_at_the_first_failed_write(monkeypatch):
+    # each report is written as it is made, so a reader that goes away
+    # after the first report spares the rest of the corpus
+    calls = []
+    analyze = cli.analyze
+
+    def counted(g, limits):
+        calls.append(g)
+        return analyze(g, limits)
+
+    class ClosedAfterOneWrite(io.StringIO):
+        def write(self, text):
+            if self.tell():
+                raise BrokenPipeError
+            return super().write(text)
+
+    monkeypatch.setattr(cli, "analyze", counted)
+    args = cli.build_parser().parse_args(
+        ["analyze", str(DATA / "connected_upto6.g6"), "--threads", "2"])
+    with pytest.raises(BrokenPipeError):
+        cli.cmd_analyze(args, out=ClosedAfterOneWrite())
+    assert 1 <= len(calls) <= 2
 
 
 def test_determinism_across_thread_counts(tmp_path):

@@ -78,6 +78,13 @@ def test_parse_edge_list_and_errors():
             parse_edge_list(f"2 2\n1 2\n{again}\n")
     with pytest.raises(GraphParseError, match="line 2"):
         parse_edge_list("3 1\n1 x\n")          # non-integer vertex
+    # a token is an ASCII decimal integer, though int() reads more
+    for head, edge, line in (("3 2", "\u0661 2", 2), ("3 2", "+1 2", 2),
+                             ("3 2", "1_0 2", 2), ("0_3 2", "1 2", 1),
+                             ("+3 2", "1 2", 1)):
+        with pytest.raises(GraphParseError,
+                           match=f"^line {line}: expected integers"):
+            parse_edge_list(f"{head}\n{edge}\n2 3\n")
     with pytest.raises(GraphParseError, match="line 1"):
         parse_edge_list("-1 0\n")              # negative n
     with pytest.raises(GraphParseError, match="line 1"):

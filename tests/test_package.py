@@ -42,12 +42,26 @@ def cold(code):
 
 
 def test_cli_imports_no_code_generating_module():
-    # concurrent.futures (and the logging it loads) is for analyze's pool
+    # concurrent.futures and the logging it loads cost a cold start ~15 ms
     loaded, timed = cold("import beilab.cli")
     for name in ("dataclasses", "inspect", "typing", "concurrent.futures"):
         assert name not in loaded
         assert name not in timed
     assert "beilab.cli" in timed and "beilab.corpus" not in loaded
+
+
+def test_analyze_loads_no_thread_pool():
+    # analyze runs on the calling thread, whatever --threads says
+    corpus = str(pathlib.Path(__file__).parent / "data" / "connected_upto6.g6")
+    loaded, timed = cold(
+        "import contextlib, io\nimport beilab.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    status = beilab.cli.main(['analyze', {corpus!r}, "
+        "'--threads', '2'])\n"
+        "assert status == 0")
+    for name in ("concurrent.futures", "threading"):
+        assert name not in loaded
+        assert name not in timed
 
 
 def test_graph_io_loads_graphs_alone():
