@@ -5,11 +5,9 @@ G - (T - {t}); cutsets index the minimal primes of the binomial edge
 ideal, with height n + |T| - c(T).
 """
 
-import itertools
-
 from ._record import Record
-from .graphs import (component_masks, connected_components, is_free_vertex,
-                     per_graph)
+from .graphs import (_bits, component_masks, connected_components,
+                     is_free_vertex, per_graph)
 
 DEFAULT_CUTSET_CAP = 24
 
@@ -51,26 +49,55 @@ def enumerate_cutsets(g):
 
 @per_graph
 def _lattice(g):
-    """The cutsets of g as a tuple, once per graph. Subsets containing a
-    free vertex are skipped wholesale (a free vertex lies in no cutset).
-    Components are counted once per candidate, on vertex masks; is_cutset's
-    c(T - {v}) is read from the counts of the size below."""
+    """The cutsets of g as a tuple, once per graph, by size and then in
+    the order of itertools.combinations over the sorted vertices. A free
+    vertex lies in no cutset, so only subsets T of the non-free vertices
+    are candidates. They are walked depth-first from the full set, each
+    child restoring one vertex of its parent, later in that order than any
+    restored before; the child's components are the parent's, with those
+    the restored vertex touches merged into one through it. T is a cutset
+    when every t in T touches two or more components of G - T, since
+    c(T - {t}) = c(T) + 1 - (the components t touches)."""
     if g.n > DEFAULT_CUTSET_CAP:
         raise ValueError(f"cutset enumeration capped at n={DEFAULT_CUTSET_CAP}")
-    nonfree = [v for v in g.vertices() if not is_free_vertex(g, v)]
-    prev = {0: len(component_masks(g))}     # c(S) by mask, S one size smaller
-    out = [Cutset(frozenset(), prev[0])]
-    for size in range(1, len(nonfree) + 1):
-        counts = {}
-        for combo in itertools.combinations(nonfree, size):
-            t = 0
-            for v in combo:
-                t |= 1 << v
-            c_full = counts[t] = len(component_masks(g, t))
-            if all(prev[t ^ (1 << v)] < c_full for v in combo):
-                out.append(Cutset(frozenset(combo), c_full))
-        prev = counts
-    return tuple(out)
+    nbr = g.neighbor_masks()
+    nonfree = [1 << v for v in g.vertices() if not is_free_vertex(g, v)]
+    full = sum(nonfree)
+    found = []
+    # (T, the components of G - T, index of the first vertex to restore)
+    stack = [(full, component_masks(g, full), 0)]
+    while stack:
+        t, comps, first = stack.pop()
+        cutset = True
+        for k in range(first, len(nonfree)):
+            bit = nonfree[k]
+            nb = nbr[bit.bit_length() - 1]
+            merged = bit
+            rest = []
+            for c in comps:
+                if c & nb:
+                    merged |= c
+                else:
+                    rest.append(c)
+            if len(rest) + 2 > len(comps):
+                cutset = False      # it touches at most one component
+            rest.append(merged)
+            stack.append((t ^ bit, rest, k + 1))
+        # the vertices of T before the first to restore have no child here
+        b = t & (nonfree[first] - 1) if first < len(nonfree) else t
+        while cutset and b:
+            low = b & -b
+            nb = nbr[low.bit_length() - 1] & ~t
+            cutset = False
+            for c in comps:
+                if c & nb:
+                    cutset = nb & ~c != 0   # it touches another one
+                    break
+            b ^= low
+        if cutset:
+            found.append((_bits(t), len(comps)))
+    found.sort(key=lambda vc: (len(vc[0]), vc[0]))
+    return tuple(Cutset(frozenset(vs), c) for vs, c in found)
 
 
 def is_unmixed(g):

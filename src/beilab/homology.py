@@ -19,8 +19,7 @@ from ._record import Record
 DEFAULT_FACE_BUDGET = 5_000_000
 DEFAULT_LATTICE_BUDGET = 1_000_000
 BRUTE_DEPTH_CAP = 12    # variables; brute_depth_oracle scans 2^n subsets
-# entries kept by the depth-lemma memo, which is emptied when full; threads
-# share it, and a racing write only stores another valid entry
+# entries kept by the depth-lemma memo, which is emptied when full
 _CACHE_SIZE = 1 << 16
 _lemma_memo = {}    # (n, gens, topk) -> (bound, exact)
 
@@ -336,9 +335,15 @@ def _depth_lower_bound(n, gens, topk, cap=None):
     the rest: only variable-free ideals are split, and the I + x child is
     the bound of the generators x does not divide, less 1.
 
+    The leaves are closed forms, each the exact depth: at most two
+    generators give n - len(gens), as their Taylor resolution is minimal,
+    and k pairwise-disjoint generators give n - k, a complete intersection.
+
     topk is the number of candidate splitting variables tried per node
-    (the bound is the max over candidates); larger topk is sharper but
-    costlier, and never lower. Never exceeds the true depth, over any
+    (the bound is the max over candidates): the variables dividing the
+    most generators, the lower first among equals, read from the counts
+    kept in binary, one bit plane per binary digit. Larger topk is sharper
+    but costlier, and never lower. Never exceeds the true depth, over any
     field. Two prunes leave every value unchanged: the I + x child is
     evaluated first, and the I : x child is skipped when I + x alone is
     no more than the running max, since the min cannot then raise it; and
@@ -350,15 +355,16 @@ def _depth_lower_bound(n, gens, topk, cap=None):
     than the uncapped bound B, with min(b, cap) == min(B, cap): candidates
     stop at min(ceiling, cap) = stop, the I + x child is asked up to
     stop + 1, the I : x child up to min(I + x less 1, stop), and the rest
-    of k variable generators up to cap + k. The memo maps (n, gens, topk),
-    not ideal objects, to (b, exact), where exact means b == B. An entry
-    serves a later call at its own topk only, when exact or when b is at
-    least the call's cap.
+    of k variable generators up to cap + k; a leaf returns B, whatever the
+    cap. The memo maps (n, gens, topk), not ideal objects, to (b, exact),
+    where exact means b == B; leaves are not stored. An entry serves a
+    later call at its own topk only, when exact or when b is at least the
+    call's cap.
     """
-    if not gens:
-        return n
     if gens == (0,):
         raise ValueError("unit ideal: the quotient ring is zero")
+    if len(gens) <= 2:
+        return n - len(gens)
     if cap is None:
         cap = n     # no bound exceeds n: uncapped
     hit = _lemma_memo.get((n, gens, topk))
@@ -369,20 +375,38 @@ def _depth_lower_bound(n, gens, topk, cap=None):
         k = len(gens) - len(others)
         out = _depth_lower_bound(n, others, topk, cap + k) - k
         return _remember(n, gens, topk, out, out < cap)
-    # split on the most shared variables
-    counts = {}
+    # bit v of planes[j] is bit j of the number of generators x_v divides
+    planes = []
     ceiling = n
     used = 0
     for g in gens:
         if not g & used:
             used |= g
             ceiling -= 1
-        b = g
-        while b:
-            low = b & -b
-            counts[low] = counts.get(low, 0) + 1
-            b &= b - 1
-    cand = sorted(counts, key=lambda m: (-counts[m], m))[:topk]
+        carry = g
+        for j, p in enumerate(planes):
+            planes[j] = p ^ carry
+            carry &= p
+            if not carry:
+                break
+        else:
+            planes.append(carry)
+    if ceiling == n - len(gens):
+        return ceiling      # pairwise disjoint: a complete intersection
+    # split on the most shared variables, the lower first among equals
+    left = 0
+    for p in planes:
+        left |= p
+    cand = []
+    while left and len(cand) < topk:
+        most = left
+        for p in reversed(planes):
+            if most & p:
+                most &= p
+        left &= ~most
+        while most and len(cand) < topk:
+            cand.append(most & -most)
+            most &= most - 1
     stop = min(ceiling, cap)
     out = 0
     for x in cand:
@@ -411,6 +435,12 @@ def _remember(n, gens, topk, bound, exact):
     return bound
 
 
+def _big_height(cx):
+    """The largest height of a minimal prime: the complement of the
+    smallest facet. The projective dimension is never below it."""
+    return cx.nverts - min(f.bit_count() for f in cx.facets)
+
+
 def hochster_depth(ideal, limits=Limits(), seed=None, narrow=None):
     """depth of the quotient by a square-free monomial ideal, exactly.
 
@@ -419,26 +449,36 @@ def hochster_depth(ideal, limits=Limits(), seed=None, narrow=None):
     over the lcm lattice by ascending homological degree, so cheap degrees
     come first), and depth >= the depth-lemma recursion bound, in one
     pass capped at n - pd_lb before any lattice is built: at topk 2 when
-    ``narrow`` is given, and at topk 4 without it. ``seed``, a certified
-    (lo, hi) interval on the depth known from outside, starts both bounds.
-    When the two bounds meet there the answer is exact with no scan, and
-    the witness is None. When no W is large enough to scan, n - pd_lb is
-    exact. If the bounds are still apart after the pass,
+    ``narrow`` is given, and at topk 4 without it.
+
+    pd is never below the big height, the largest height of a minimal
+    prime. Without a seed, pd_lb starts there, read from the
+    Stanley-Reisner complex. ``seed``, a certified (lo, hi) interval on
+    the depth known from outside, starts both bounds instead: pd_lb from
+    n - hi, and from the number of variable generators, as every minimal
+    prime holds them. The complex is then built only when the scan is
+    about to run, and pd_lb is raised to its big height, with the loop's
+    test made again, before the lattice is built or charged to its
+    budget. When the two bounds meet before a scan the answer is exact,
+    and the witness is None. When no W is large enough to scan, n - pd_lb
+    is exact: pd_lb is at least the big height, which falls below the
+    number of variables the generators use unless every generator is a
+    variable. If the bounds are still apart after the pass,
     ``narrow(lo, hi)``, if given, returns a certified interval within
     them, and the scan starts from it.
     The scan stops the moment the bounds meet; if they never do, the
     completed lattice scan is itself exact. It starts at degree 0: H~_-1
     of W is nonzero only when every variable of W is a generator, so |W|
-    is at most the big height, pd_lb's start. In degree i it skips W with
-    |W| > n - depth_lb + i + 1, as pd <= n - depth_lb. The lattice is
-    built, and charged to its budget, only when a scan runs; it is sorted
-    by the total key (-|W|, W), so the witness is the first (W, i) in that
-    order. The face budget is charged on each restricted complex whose
-    homology is computed, before reduced_ranks_from_facets collapses it to
-    its strong core, so the core never moves a budget-limited answer. When
-    either budget in ``limits`` runs out the answer is still exact if the
-    bounds have met, and otherwise the certified interval is reported as
-    indeterminate instead of a guess.
+    is at most the big height, which pd_lb holds by then. In degree i it
+    skips W with |W| > n - depth_lb + i + 1, as pd <= n - depth_lb. The
+    lattice is built, and charged to its budget, only when a scan runs; it
+    is sorted by the total key (-|W|, W), so the witness is the first
+    (W, i) in that order. The face budget is charged on each restricted
+    complex whose homology is computed, before reduced_ranks_from_facets
+    collapses it to its strong core, so the core never moves a
+    budget-limited answer. When either budget in ``limits`` runs out the
+    answer is still exact if the bounds have met, and otherwise the
+    certified interval is reported as indeterminate instead of a guess.
     """
     if ideal.is_unit():
         raise ValueError("unit ideal: the quotient ring is zero")
@@ -446,15 +486,19 @@ def hochster_depth(ideal, limits=Limits(), seed=None, narrow=None):
     if ideal.is_zero():
         return DepthResult(depth=n)
     field, face_budget = limits.field, limits.face_budget
-    depth_lb, depth_ub = seed or (0, n)
-    cx = mono.stanley_reisner(ideal)
-    # pd >= big height = max codim of an associated prime, always
-    pd_lb = max(n - min(f.bit_count() for f in cx.facets), n - depth_ub)
     # the lattice's top element is the union of all generators
     top = 0
     for g in ideal.gens:
         top |= g
     max_size = top.bit_count()
+    if seed is None:
+        cx = mono.stanley_reisner(ideal)
+        depth_lb, pd_lb = 0, _big_height(cx)
+    else:
+        # every minimal prime holds the variable generators
+        cx = None
+        depth_lb, depth_ub = seed
+        pd_lb = max(n - depth_ub, sum(not g & (g - 1) for g in ideal.gens))
     if pd_lb + 2 > max_size:
         depth_lb = n - pd_lb    # no W is large enough to scan: exact
     # sharpen the bound before any lattice; it is needed only up to
@@ -472,6 +516,11 @@ def hochster_depth(ideal, limits=Limits(), seed=None, narrow=None):
     i = 0           # combinatorial degrees first: they carry most witnesses
     try:
         while pd_lb + i + 2 <= max_size and n - pd_lb > depth_lb:
+            if cx is None:
+                # the scan reads the complex: its big height may close it
+                cx = mono.stanley_reisner(ideal)
+                pd_lb = max(pd_lb, _big_height(cx))
+                continue
             if lattice is None:
                 lattice = _lcm_lattice(ideal, limits.lattice_budget)
                 # by (-|W|, W): the sort by size keeps ties in mask order

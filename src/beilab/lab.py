@@ -129,25 +129,29 @@ def _depth(g, limits):
 
 def _graph_interval(g):
     """A certified (lo, hi) interval on depth S/J_G from a connected graph
-    alone.
+    alone, its upper end read from the memoized cutset lattice.
 
     f(G) + d(G) <= depth, f counting the free vertices and d the diameter
     (Rouzbahani Malayeri, Saeedi Madani and Kiani, J. Algebraic Combin.
-    2022), and depth <= n + 1, the dimension of S modulo the prime of the
-    empty cutset, as no depth exceeds the dimension of an associated prime.
-    For G 2-connected and not complete, depth <= n + 2 - kappa(G)
-    (Banerjee and Nunez-Betancourt, Proc. AMS 2017), kappa the size of the
-    smallest nonempty cutset. K_n with n >= 1 has depth n + 1, J_G being
-    the Cohen-Macaulay ideal of 2-minors of a generic 2 x n matrix (Eagon
-    and Northcott); f + d misses it only at K1."""
+    2022). No depth exceeds the dimension of an associated prime, and each
+    cutset T gives the minimal prime P_T, with dim S/P_T = n - |T| + c(T)
+    (Herzog, Hibi, Hreinsdottir, Kahle and Rauf, Adv. Appl. Math. 2010):
+    so depth <= n + min over cutsets of (c(T) - |T|), at most n + 1 from
+    the empty cutset. For G 2-connected and not complete, depth <= n + 2 -
+    kappa(G) (Banerjee and Nunez-Betancourt, Proc. AMS 2017), kappa the
+    size of the smallest nonempty cutset; a connected G is 2-connected and
+    not complete exactly when that cutset has two or more vertices, as a
+    cut vertex is a cutset of one. K_n with n >= 1 has depth n + 1, J_G
+    being the Cohen-Macaulay ideal of 2-minors of a generic 2 x n matrix
+    (Eagon and Northcott); f + d misses it only at K1."""
     n = g.n
-    complete = len(g.edges) == n * (n - 1) // 2
-    if complete and n:
+    if n and len(g.edges) == n * (n - 1) // 2:
         return n + 1, n + 1
     lo = sum(is_free_vertex(g, v) for v in g.vertices()) + diameter(g)
-    hi = n + 1
-    if n > 2 and not complete and not cut_vertices(g):
-        hi = n + 2 - len(cs._lattice(g)[1])     # by size, after the empty
+    cuts = cs._lattice(g)   # by size, the empty cutset first
+    hi = n + min(t.c - len(t) for t in cuts)
+    if len(cuts) > 1 and len(cuts[1]) > 1:
+        hi = min(hi, n + 2 - len(cuts[1]))
     return lo, hi
 
 

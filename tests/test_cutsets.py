@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from beilab.cutsets import (Cutset, _lattice, component_count,
                             enumerate_cutsets, is_accessible, is_cutset,
                             is_unmixed)
-from beilab.graphs import (complete_graph, cut_vertices, cycle_graph,
+from beilab.graphs import (Graph, complete_graph, cut_vertices, cycle_graph,
                            is_free_vertex, path_graph)
 from beilab.corpus import connected_graphs, random_connected_graph
 from conftest import random_graphs_any
@@ -88,12 +88,22 @@ def lattice_by_sets(g):
 def test_lattice_matches_the_set_lattice():
     # the same cutsets with the same counts in the same order on every
     # connected graph with n = 7 and on seeded random graphs with
-    # 8 <= n <= 10, disconnected ones included
+    # 8 <= n <= 13, disconnected ones included; the sparse ones with
+    # 11 <= n <= 13 have many non-free vertices, so the walk restores
+    # vertices into components many levels deep
     rng = random.Random(88)
     graphs = list(connected_graphs(7))
     assert len(graphs) == 853
     graphs += [random_connected_graph(rng, 10, n_min=8) for _ in range(30)]
     graphs += [g for g in random_graphs_any(89, 60, n_max=10) if g.n >= 8]
+    graphs += [random_connected_graph(rng, 13, n_min=11) for _ in range(4)]
+    for _ in range(8):
+        n = rng.randint(11, 13)
+        p = rng.uniform(0.15, 0.4)
+        graphs.append(Graph.from_edges(n, [
+            e for e in itertools.combinations(range(1, n + 1), 2)
+            if rng.random() < p]))
+    assert sum(len(_lattice(g)) > 20 for g in graphs if g.n >= 11) >= 4
     for g in graphs:
         assert _lattice(g) == lattice_by_sets(g), g
 

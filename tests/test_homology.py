@@ -363,6 +363,27 @@ def test_seed_and_narrow_start_the_scan_from_known_bounds(monkeypatch):
     assert hochster_depth(initial_ideal(cycle_graph(5)),
                           narrow=narrow).depth == 5
     assert len(asked) == 1
+    # a seed looser than the big height: the lemma pass gives 1, and the
+    # big height of (x1 x2, x2 x3), 2 from its prime (x1, x3), meets it
+    # once the complex is built, before any lattice
+    assert hochster_depth(ideal(3, {0, 1}, {1, 2}), seed=(0, 3)).depth == 1
+
+
+def test_any_certified_seed_gives_the_exact_depth():
+    # a seed's upper end may lie above n - big height: the squeeze raises
+    # pd_lb to the big height before it scans, and counts the variable
+    # generators before it trusts an interval with nothing left to scan
+    assert hochster_depth(ideal(5, {0}, {1}), seed=(0, 4)).depth == 3
+    rng = random.Random(6161)
+    for _ in range(80):
+        n = rng.randint(2, 9)
+        gens = [sum(1 << b for b in rng.sample(
+            range(n), rng.randint(1, min(n, 3))))
+            for _ in range(rng.randint(1, 7))]
+        i = MonomialIdeal.make(n, gens)
+        depth = brute_depth_oracle(i).depth
+        seed = rng.randint(0, depth), rng.randint(depth, n)
+        assert hochster_depth(i, seed=seed).depth == depth, (i, seed)
 
 
 def test_lcm_lattice_is_union_closure_with_exact_budget():
@@ -550,3 +571,52 @@ def test_depth_lower_bound_is_monotone_and_certified():
                 nu += 1
         assert bounds[-1] <= n - nu
         assert bounds[-1] <= brute_depth_oracle(ideal_).depth
+
+
+def test_depth_lower_bound_never_exceeds_the_oracle(monkeypatch):
+    # capped or not, at every topk, the bound is certified: on seeded
+    # random square-free ideals with at most 12 variables it never
+    # exceeds the brute-force depth, and a capped call agrees with the
+    # uncapped one below its cap
+    rng = random.Random(1212)
+    for _ in range(80):
+        n = rng.randint(2, 12)
+        ideal_ = MonomialIdeal.make(n, [
+            sum(1 << b for b in rng.sample(
+                range(n), rng.randint(1, min(n, 4))))
+            for _ in range(rng.randint(1, 10))])
+        depth = brute_depth_oracle(ideal_).depth
+        for topk in (1, 2, 4):
+            monkeypatch.setattr(homology, "_lemma_memo", {})
+            whole = _depth_lower_bound(n, ideal_.gens, topk)
+            assert whole <= depth
+            for cap in range(1, n + 1):
+                monkeypatch.setattr(homology, "_lemma_memo", {})
+                b = _depth_lower_bound(n, ideal_.gens, topk, cap)
+                assert b <= whole and min(b, cap) == min(whole, cap)
+
+
+def test_depth_lower_bound_is_exact_at_its_closed_forms():
+    # one generator gives n - 1, two give n - 2 (their Taylor resolution
+    # is minimal), and k pairwise-disjoint ones give n - k (a complete
+    # intersection): each is the brute-force depth
+    rng = random.Random(4343)
+
+    def support(variables):
+        return sum(1 << b for b in rng.sample(
+            variables, rng.randint(1, min(len(variables), 4))))
+
+    for _ in range(40):
+        n = rng.randint(2, 12)
+        one = MonomialIdeal.make(n, [support(range(n))])
+        two = MonomialIdeal.make(n, [support(range(n)), support(range(n))])
+        left, disjoint = list(range(n)), []
+        for _ in range(rng.randint(1, 5)):
+            if left:
+                disjoint.append(support(left))
+                left = [b for b in left if not disjoint[-1] >> b & 1]
+        for ideal_ in (one, two, MonomialIdeal.make(n, disjoint)):
+            depth = brute_depth_oracle(ideal_).depth
+            assert depth == n - len(ideal_.gens)
+            for topk in (1, 4):
+                assert _depth_lower_bound(n, ideal_.gens, topk) == depth

@@ -13,6 +13,7 @@ from beilab.graphs import (Graph, complete_graph, cycle_graph, decompose_at,
                            parse_edge_list, parse_graph6, path_graph,
                            relabel)
 from beilab.homology import FieldSpec, Limits, QQ
+import beilab.graphs as graphs
 import beilab.homology as homology
 import beilab.lab as lab
 from conftest import random_graphs_any
@@ -426,7 +427,9 @@ def test_analyze_runs_one_topk_2_pass(corpus6, monkeypatch):
 
 def test_analyze_depth_lemma_work_over_n6(corpus6, monkeypatch):
     # one pass at topk 2 per squeeze, counted from empty memos: a node
-    # is evaluated at one topk only, so 2,799 calls suffice
+    # is evaluated at one topk only, and one or two generators, or
+    # pairwise-disjoint ones, are a closed-form leaf, so 2,197 calls
+    # suffice
     lemma = homology._depth_lower_bound
     calls = 0
 
@@ -439,7 +442,46 @@ def test_analyze_depth_lemma_work_over_n6(corpus6, monkeypatch):
     monkeypatch.setattr(homology, "_depth_lower_bound", counted)
     for g in corpus6:
         lab.analyze(g)
-    assert calls <= 2799
+    assert calls <= 2197
+
+
+def test_analyze_builds_a_complex_only_for_the_scan(corpus6, monkeypatch):
+    # the graph interval reads its upper end from the cutset lattice, and a
+    # seeded squeeze builds the Stanley-Reisner complex only when the lcm
+    # scan is about to run: over the corpus both happen twice, and the
+    # interval never asks for the blocks
+    calls = {"stanley_reisner": 0, "_lcm_lattice": 0, "blocks": 0}
+
+    def counting(owner, name):
+        real = getattr(owner, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    counting(homology.mono, "stanley_reisner")
+    counting(homology, "_lcm_lattice")
+    counting(lab, "blocks")
+    counting(graphs, "blocks")
+    for g in corpus6:
+        lab.analyze(g)
+    assert calls == {"stanley_reisner": 2, "_lcm_lattice": 2, "blocks": 0}
+
+
+def test_seeded_and_bare_squeezes_agree_on_every_graph_upto7():
+    # the squeeze seeded with the graph interval starts below the big
+    # height when the interval is looser, and reads the big height only
+    # before a scan; it gives the bare squeeze's depth on all 996
+    # connected graphs with n <= 7
+    for name in ("connected_upto6.g6", "connected_7.g6"):
+        for line in (DATA / name).read_text().split():
+            g = parse_graph6(line)
+            ideal = initial_ideal(g)
+            seed = lab._graph_interval(g)
+            assert homology.hochster_depth(ideal, seed=seed).depth == \
+                homology.hochster_depth(ideal).depth, line
 
 
 def test_depth_equality_asks_each_graph_once(fig, monkeypatch):
@@ -522,10 +564,11 @@ def test_graph_budgets_yield_exact_answers_or_certified_intervals(
 
 
 def test_graph_interval_holds_every_golden_depth():
-    # f(G) + d(G) <= depth <= n + 1, or n + 2 - kappa(G) for a 2-connected
-    # graph that is not complete, on the golden depths of all 996 connected
-    # graphs with n <= 7; paths and complete graphs close on it, K1 (the
-    # path and the complete graph on one vertex) included
+    # f(G) + d(G) <= depth <= n + min over cutsets of (c(T) - |T|), and
+    # n + 2 - kappa(G) for a 2-connected graph that is not complete, on
+    # the golden depths of all 996 connected graphs with n <= 7; paths
+    # and complete graphs close on it, K1 (the path and the complete graph
+    # on one vertex) included
     reports = [json.loads(line) for name in ("analyze_upto6.jsonl",
                                              "analyze_7.jsonl")
                for line in (DATA / name).read_text().splitlines()]
@@ -535,7 +578,8 @@ def test_graph_interval_holds_every_golden_depth():
         lo, hi = lab._graph_interval(parse_graph6(rep["graph"]))
         assert lo <= rep["depth"] <= hi, rep["graph"]
         closed += lo == hi
-    assert closed > 0
+    # n + 1 and kappa alone closed 122
+    assert closed == 181
     # K_{1,1,3}: only n + 2 - kappa closes it; n + min_T (c(T) - |T|) is 6
     assert lab._graph_interval(parse_graph6("D}o")) == (5, 5)
     for n in range(1, 8):
