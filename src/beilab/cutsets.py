@@ -100,6 +100,7 @@ def _lattice(g):
     return tuple(Cutset(frozenset(vs), c) for vs, c in found)
 
 
+@per_graph
 def is_unmixed(g):
     """Combinatorial unmixedness: c(T) = |T| + c for every cutset T."""
     cuts = _lattice(g)
@@ -114,6 +115,7 @@ def is_unmixed(g):
                              dim=g.n + excess)
 
 
+@per_graph
 def is_accessible(g):
     """Unmixed, plus every nonempty cutset T has t with T - {t} a cutset."""
     unm = is_unmixed(g)

@@ -13,8 +13,8 @@ from ._record import Record, _set
 INFINITY = float("inf")
 
 DEFAULT_INDUCED_CYCLE_CAP = 16
-# blocks, the cutset lattice and the depth, each once per graph (and
-# limits); 64 holds one graph and the graphs derived from it
+# blocks, the cutset lattice, the filters read off it and the depth, each
+# once per graph (and limits); 64 holds one graph and those derived from it
 per_graph = lru_cache(maxsize=64)
 
 
@@ -423,6 +423,7 @@ def induced_cycle_lengths(g):
 def is_free_vertex(g, v):
     """True iff the neighborhood of v induces a complete graph: each
     neighbor u of v is adjacent to every other neighbor of v."""
+    _check_vertex(g, v)
     nbr = g.neighbor_masks()
     nb = b = nbr[v]
     while b:
@@ -433,11 +434,17 @@ def is_free_vertex(g, v):
     return True
 
 
+def _check_vertex(g, v):
+    if not 1 <= v <= g.n:
+        raise ValueError(f"vertex {v} out of range")
+
+
 # ---------------------------------------------------------------------------
 # constructions
 
 def saturate(g, v):
     """Complete the neighborhood of v (the local clique closure)."""
+    _check_vertex(g, v)
     nb = _bits(g.neighbor_masks()[v])
     return Graph.from_edges(g.n, list(g.edges)
                             + list(itertools.combinations(nb, 2)))
@@ -459,8 +466,7 @@ def delete_vertices(g, removed):
 
 def add_whisker(g, v):
     """Attach a pendant vertex n+1 at v."""
-    if not (1 <= v <= g.n):
-        raise ValueError(f"vertex {v} out of range")
+    _check_vertex(g, v)
     return Graph.from_edges(g.n + 1, list(g.edges) + [(v, g.n + 1)])
 
 
@@ -498,9 +504,10 @@ def decompose_at(g, v):
     The lowest-labeled component of g - v (plus v) forms side one; the rest
     plus v forms side two. Returns a Decomposition whose relabeled graph
     satisfies the interval conditions on the neighbors of the cut vertex.
-    Raises ValueError for a disconnected graph or when v is not a cut
-    vertex.
+    Raises ValueError for a vertex outside 1..n, a disconnected graph or
+    when v is not a cut vertex.
     """
+    _check_vertex(g, v)
     if not is_connected(g):
         raise ValueError("decompose_at requires a connected graph")
     comps = connected_components(g, frozenset([v]))
@@ -515,8 +522,8 @@ def decompose_at(g, v):
 
 def glue_at(g, v, h, w):
     """Disjoint union of g and h with v and w identified (label of v)."""
-    if not (1 <= v <= g.n and 1 <= w <= h.n):
-        raise ValueError("glue vertex out of range")
+    _check_vertex(g, v)
+    _check_vertex(h, w)
     edges = list(g.edges)
     # h's vertices other than w come after g's, order preserved
     new_of = {}

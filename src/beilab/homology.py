@@ -64,8 +64,9 @@ class CMCertificate(Record):
 
 class DepthResult(Record):
     """depth is None when indeterminate. witness is the (W mask, degree i)
-    attaining pd = nvars - depth; depth_bounds, when indeterminate, the
-    squeeze's certified (depth_lb, n - pd_lb)."""
+    attaining pd = nvars - depth; depth_bounds, when indeterminate, a
+    certified (lo, hi): the squeeze's (depth_lb, n - pd_lb) when a budget
+    ran out, or the sum of a disconnected graph's components' bounds."""
 
     _fields = __slots__ = ("depth", "witness", "depth_bounds")
     _defaults = {"witness": None, "depth_bounds": None}
@@ -441,31 +442,27 @@ def _big_height(cx):
     return cx.nverts - min(f.bit_count() for f in cx.facets)
 
 
-def hochster_depth(ideal, limits=Limits(), seed=None, narrow=None):
+def hochster_depth(ideal, limits=Limits(), seed=None):
     """depth of the quotient by a square-free monomial ideal, exactly.
 
     Squeeze strategy: depth <= n - pd where pd is pushed up by Hochster
     witnesses (nonzero reduced homology of induced subcomplexes, scanned
     over the lcm lattice by ascending homological degree, so cheap degrees
-    come first), and depth >= the depth-lemma recursion bound, in one
-    pass capped at n - pd_lb before any lattice is built: at topk 2 when
-    ``narrow`` is given, and at topk 4 without it.
+    come first), and depth >= depth_lb.
 
-    pd is never below the big height, the largest height of a minimal
-    prime. Without a seed, pd_lb starts there, read from the
-    Stanley-Reisner complex. ``seed``, a certified (lo, hi) interval on
-    the depth known from outside, starts both bounds instead: pd_lb from
-    n - hi, and from the number of variable generators, as every minimal
-    prime holds them. The complex is then built only when the scan is
-    about to run, and pd_lb is raised to its big height, with the loop's
-    test made again, before the lattice is built or charged to its
-    budget. When the two bounds meet before a scan the answer is exact,
-    and the witness is None. When no W is large enough to scan, n - pd_lb
-    is exact: pd_lb is at least the big height, which falls below the
-    number of variables the generators use unless every generator is a
-    variable. If the bounds are still apart after the pass,
-    ``narrow(lo, hi)``, if given, returns a certified interval within
-    them, and the scan starts from it.
+    ``seed``, a certified (lo, hi) interval on the depth, is where the
+    scan starts: depth_lb from lo, and pd_lb from n - hi and from the
+    number of variable generators, as every minimal prime holds them. The
+    Stanley-Reisner complex is then built only when the scan is about to
+    run, and pd_lb is raised to its big height, the largest height of a
+    minimal prime, which pd is never below; the loop's test is made again
+    before the lattice is built or charged to its budget. Without a seed,
+    pd_lb starts at the big height, and depth_lb from one depth-lemma
+    pass at topk 4, capped at n - pd_lb. When the bounds meet before a
+    scan the answer is exact, and the witness is None. So is n - pd_lb
+    when no W is large enough to scan, pd_lb + 2 > |top|, and a bare
+    squeeze then makes no pass: a W gives pd at most |W| - 1 in degrees
+    i >= 0, and in degree -1 at most its variable generators.
     The scan stops the moment the bounds meet; if they never do, the
     completed lattice scan is itself exact. It starts at degree 0: H~_-1
     of W is nonzero only when every variable of W is a generator, so |W|
@@ -494,22 +491,12 @@ def hochster_depth(ideal, limits=Limits(), seed=None, narrow=None):
     if seed is None:
         cx = mono.stanley_reisner(ideal)
         depth_lb, pd_lb = 0, _big_height(cx)
+        if pd_lb + 2 <= max_size:
+            depth_lb = _depth_lower_bound(n, ideal.gens, 4, n - pd_lb)
     else:
-        # every minimal prime holds the variable generators
         cx = None
         depth_lb, depth_ub = seed
         pd_lb = max(n - depth_ub, sum(not g & (g - 1) for g in ideal.gens))
-    if pd_lb + 2 > max_size:
-        depth_lb = n - pd_lb    # no W is large enough to scan: exact
-    # sharpen the bound before any lattice; it is needed only up to
-    # n - pd_lb. narrow replaces the costly topk 3 and 4: after it, over
-    # the graphs with n <= 7, they spared the scan no lattice and no homology
-    if depth_lb < n - pd_lb:
-        depth_lb = max(depth_lb, _depth_lower_bound(
-            n, ideal.gens, 4 if narrow is None else 2, n - pd_lb))
-    if depth_lb < n - pd_lb and narrow is not None:
-        depth_lb, depth_ub = narrow(depth_lb, n - pd_lb)
-        pd_lb = n - depth_ub
     witness = None
     lattice = None
     spent = 0       # faces charged to face_budget

@@ -11,12 +11,12 @@ those three graphs read the same memoized depths that depth(G) used.
 import functools
 import json
 
-from . import cutsets as cs
+from . import cutsets as cs, homology
 from ._record import Record
 from .binomial_edge import initial_ideal
-from .graphs import (add_whisker, blocks, block_with_whiskers,
-                     connected_components, cut_vertices, decompose_at,
-                     delete_vertices, diameter, emit_graph6,
+from .graphs import (_check_vertex, add_whisker, blocks,
+                     block_with_whiskers, connected_components, cut_vertices,
+                     decompose_at, delete_vertices, diameter, emit_graph6,
                      girth, induced_cycle_lengths, is_connected,
                      is_free_vertex, per_graph, saturate, INFINITY)
 from .homology import CMCertificate, DepthResult, Limits, hochster_depth
@@ -101,13 +101,12 @@ def depth_JG(g, limits=Limits()):
 
 @per_graph
 def _depth(g, limits):
-    """The cheapest certificate first. A disconnected G is a sum of
-    ideals in disjoint variables, one per component, so its depth is the
-    sum of theirs. A connected G tries the graph's own interval, which
-    needs no initial ideal; the squeeze's bounds on in(J_G), which has the
-    depth of J_G (Conca-Varbaro), seeded with it, from one depth-lemma
-    pass at topk 2 rather than 4; Ohtani's exact sequence while they are
-    apart; and only then the lcm lattice scan."""
+    """The cheapest certificate first, each while the interval is open. A
+    disconnected G is a sum of ideals in disjoint variables, one per
+    component, so its depth is the sum of theirs. A connected G tries its
+    graph interval; then, on in(J_G), of the same depth (Conca-Varbaro),
+    a depth-lemma pass up to hi at topk 2 (topk 4 spared no scan after
+    Ohtani's lemma on n <= 7), Ohtani's lemma, and the seeded squeeze."""
     comps = connected_components(g)
     if len(comps) > 1:
         vertices = set(g.vertices())
@@ -120,11 +119,14 @@ def _depth(g, limits):
         if lo == hi:
             return DepthResult(lo)
         return DepthResult(None, depth_bounds=(lo, hi))
-    lo, hi = seed = _graph_interval(g)
+    lo, hi = _graph_interval(g)
     if lo == hi:
         return DepthResult(lo)
-    return hochster_depth(initial_ideal(g), limits, seed,
-                          lambda lo, hi: _ohtani(g, limits, lo, hi))
+    ideal = initial_ideal(g)
+    lo = max(lo, homology._depth_lower_bound(ideal.nvars, ideal.gens, 2, hi))
+    if lo < hi:
+        lo, hi = _ohtani(g, limits, lo, hi)
+    return hochster_depth(ideal, limits, (lo, hi))
 
 
 def _graph_interval(g):
@@ -156,7 +158,7 @@ def _graph_interval(g):
 
 
 def _ohtani(g, limits, lo, hi):
-    """Narrow a certified interval [lo, hi] on depth S/J_G by Ohtani's
+    """Tighten a certified interval [lo, hi] on depth S/J_G by Ohtani's
     J_G = J_{G_v} intersected with (x_v, y_v) + J_{G-v} at each non-free
     v (Comm. Algebra 2011), until it closes. Its exact sequence
     0 -> S/J_G -> S/J_{G_v} + S/((x_v, y_v) + J_{G-v})
@@ -166,7 +168,7 @@ def _ohtani(g, limits, lo, hi):
     C if B = C; and depth G <= depth G_v always, since
     in(J_G) : x_v = in(J_{G_v}) under a labeling with v last, and a colon
     by a variable never lowers depth (Rauf, Comm. Algebra 2010). A vertex
-    whose three depths are not all known narrows nothing."""
+    whose three depths are not all known leaves it as it is."""
     for v in g.vertices():
         if lo >= hi:
             break
@@ -467,6 +469,7 @@ def _depth_equality(g, sides, limits):
 
 def neighborhood_cutset_exists(g, v):
     """Does G minus v admit a cutset containing every neighbor of v?"""
+    _check_vertex(g, v)
     nb = g.neighbor_masks()[v]
     gv, new_of = delete_vertices(g, [v])
     target = frozenset(new for old, new in new_of.items() if nb >> old & 1)

@@ -306,6 +306,27 @@ def test_decompose_labels_sides():
         decompose_at(g, 1)
 
 
+def test_saturate_rejects_a_vertex_outside_1_to_n():
+    # -2 once indexed the adjacency from its end and saturated vertex 3
+    for v in (-2, 0, 5):
+        with pytest.raises(ValueError, match=f"^vertex {v} out of range$"):
+            saturate(path_graph(4), v)
+
+
+def test_is_free_vertex_rejects_a_vertex_outside_1_to_n():
+    # 0 once read the empty entry 0 of the adjacency and called it free
+    for v in (-1, 0, 4):
+        with pytest.raises(ValueError, match=f"^vertex {v} out of range$"):
+            is_free_vertex(complete_graph(3), v)
+
+
+def test_decompose_at_rejects_a_vertex_outside_1_to_n():
+    # -2 once failed as a negative shift count, 5 as no cut vertex
+    for v in (-2, 0, 5):
+        with pytest.raises(ValueError, match=f"^vertex {v} out of range$"):
+            decompose_at(path_graph(4), v)
+
+
 def test_block_with_whiskers(fig):
     bd = blocks(fig)
     b = next(x for x in bd.blocks if frozenset(x) == frozenset({8, 9, 10, 11}))

@@ -7,7 +7,7 @@ from operator import or_
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from beilab import homology
+from beilab import homology, lab
 from beilab.binomial_edge import initial_ideal
 from beilab.graphs import (complete_graph, cycle_graph, parse_graph6,
                            path_graph)
@@ -323,10 +323,9 @@ def test_budget_indeterminate():
 
 
 def test_bare_squeeze_runs_one_pass_at_topk_4(monkeypatch):
-    # with no narrow, the lower bound is one depth-lemma pass at topk 4:
-    # every call, the recursion's included, is at topk 4, and the join
-    # K_2 * 3K_1 keeps the interval (5, 6) of that pass under a lattice
-    # budget of 2
+    # the lower bound is one depth-lemma pass at topk 4: every call, the
+    # recursion's included, is at topk 4, and the join K_2 * 3K_1 keeps
+    # the interval (5, 6) of that pass under a lattice budget of 2
     lemma = homology._depth_lower_bound
     topks = set()
 
@@ -342,31 +341,39 @@ def test_bare_squeeze_runs_one_pass_at_topk_4(monkeypatch):
     assert topks == {4}
 
 
-def test_seed_and_narrow_start_the_scan_from_known_bounds(monkeypatch):
+def test_a_seed_starts_the_scan_from_known_bounds(monkeypatch):
     # C9's squeeze alone stays at (8, 9) through its scan; a seed that
-    # closes, or a narrow that closes after the pass, builds no lattice
+    # closes builds no lattice
     def no_lattice(*args):
         raise AssertionError("no lcm lattice when the bounds have met")
 
     monkeypatch.setattr(homology, "_lcm_lattice", no_lattice)
-    c9 = initial_ideal(cycle_graph(9))
-    assert hochster_depth(c9, seed=(9, 9)).depth == 9
-    asked = []
-
-    def narrow(lo, hi):
-        asked.append((lo, hi))
-        return hi, hi
-
-    assert hochster_depth(c9, seed=(4, 9), narrow=narrow).depth == 9
-    assert asked == [(8, 9)]
-    # bounds that meet in the pass ask nothing of narrow
-    assert hochster_depth(initial_ideal(cycle_graph(5)),
-                          narrow=narrow).depth == 5
-    assert len(asked) == 1
-    # a seed looser than the big height: the lemma pass gives 1, and the
-    # big height of (x1 x2, x2 x3), 2 from its prime (x1, x3), meets it
-    # once the complex is built, before any lattice
+    assert hochster_depth(initial_ideal(cycle_graph(9)),
+                          seed=(9, 9)).depth == 9
+    # a seed looser than the big height: the big height of
+    # (x1 x2, x2 x3), 2 from its prime (x1, x3), leaves no W to scan once
+    # the complex is built, before any lattice
     assert hochster_depth(ideal(3, {0, 1}, {1, 2}), seed=(0, 3)).depth == 1
+
+
+def test_a_seeded_squeeze_makes_no_depth_lemma_pass(corpus5, monkeypatch):
+    # the seed is where the scan starts: seeded with each graph interval
+    # left open, the squeeze asks the depth lemma nothing and still gives
+    # the bare squeeze's depth
+    cases = []
+    for g in corpus5:
+        seed = lab._graph_interval(g)
+        if seed[0] < seed[1]:
+            ideal_ = initial_ideal(g)
+            cases.append((ideal_, seed, hochster_depth(ideal_).depth))
+    assert cases
+
+    def no_lemma(*args):
+        raise AssertionError("a seeded squeeze makes no depth-lemma pass")
+
+    monkeypatch.setattr(homology, "_depth_lower_bound", no_lemma)
+    for ideal_, seed, depth in cases:
+        assert hochster_depth(ideal_, seed=seed).depth == depth, ideal_
 
 
 def test_any_certified_seed_gives_the_exact_depth():

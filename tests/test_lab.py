@@ -1,6 +1,8 @@
+import collections
 import json
 import pathlib
 import random
+import sys
 
 import networkx as nx
 import pytest
@@ -225,6 +227,17 @@ def test_neighborhood_cutset_exists_matches_brute():
             assert lab.neighborhood_cutset_exists(g, v) == brute
 
 
+def test_neighborhood_cutset_exists_rejects_a_vertex_outside_1_to_n():
+    # -1 once read the neighbors of vertex 4 and deleted no vertex; the
+    # whiskered sides, split by decompose_at, failed on -2 as a negative
+    # shift count
+    for v in (-1, 0, 5):
+        with pytest.raises(ValueError, match=f"^vertex {v} out of range$"):
+            lab.neighborhood_cutset_exists(path_graph(4), v)
+    with pytest.raises(ValueError, match="^vertex -2 out of range$"):
+        lab.whiskered_sides(path_graph(4), -2)
+
+
 def test_analyze_enumerates_cutsets_once(fig):
     # one cutset lattice per analyze: the example graph stops at the
     # unmixedness filter; the path passes both filters and reaches the depth
@@ -242,6 +255,27 @@ def test_one_cutset_lattice_per_graph():
     lab.cs.is_accessible(g)
     lab.dim_JG(g)
     assert lab.cs._lattice.cache_info().misses == 1
+
+
+def test_analyze_reads_each_filter_once_per_graph(corpus6, monkeypatch):
+    # analyze and cm_check both ask for the unmixedness and the
+    # accessibility of a graph, and the accessibility asks for the
+    # unmixedness: from empty memos each reads the cutset lattice once per
+    # graph, the accessibility only past its unmixedness filter, on 34 of
+    # the 143 graphs
+    reads = collections.Counter()
+    real = lab.cs._lattice
+
+    def counted(g):
+        reads[sys._getframe(1).f_code.co_name] += 1
+        return real(g)
+
+    monkeypatch.setattr(lab.cs, "_lattice", counted)
+    lab.cs.is_unmixed.cache_clear()
+    lab.cs.is_accessible.cache_clear()
+    for g in corpus6:
+        lab.analyze(g)
+    assert (reads["is_unmixed"], reads["is_accessible"]) == (143, 34)
 
 
 def test_analyze_builds_each_artefact_once(monkeypatch, fig):
@@ -409,9 +443,9 @@ def test_depth_lower_bound_work_on_the_example(fig, monkeypatch):
 
 
 def test_analyze_runs_one_topk_2_pass(corpus6, monkeypatch):
-    # a squeeze with Ohtani's lemma bounds the depth from below in one
-    # pass at topk 2, then goes to the lemma and the scan: the pass at
-    # topk 4 runs only in a squeeze called without it
+    # the depth of a graph is bounded from below by one pass at topk 2
+    # before Ohtani's lemma and the scan: the pass at topk 4 runs only in
+    # a squeeze called without a seed
     lemma = homology._depth_lower_bound
     topks = set()
 
@@ -471,25 +505,81 @@ def test_analyze_builds_a_complex_only_for_the_scan(corpus6, monkeypatch):
 
 
 def test_seeded_and_bare_squeezes_agree_on_every_graph_upto7():
-    # the squeeze seeded with the graph interval starts below the big
-    # height when the interval is looser, and reads the big height only
-    # before a scan; it gives the bare squeeze's depth on all 996
-    # connected graphs with n <= 7
+    # the squeeze seeded with the graph interval, raised by a pass at
+    # topk 4, starts below the big height when the interval is looser,
+    # and reads the big height only before a scan; it gives the bare
+    # squeeze's depth on all 996 connected graphs with n <= 7
     for name in ("connected_upto6.g6", "connected_7.g6"):
         for line in (DATA / name).read_text().split():
             g = parse_graph6(line)
             ideal = initial_ideal(g)
-            seed = lab._graph_interval(g)
-            assert homology.hochster_depth(ideal, seed=seed).depth == \
+            lo, hi = lab._graph_interval(g)
+            lo = max(lo, homology._depth_lower_bound(
+                ideal.nvars, ideal.gens, 4, hi))
+            assert homology.hochster_depth(ideal, seed=(lo, hi)).depth == \
                 homology.hochster_depth(ideal).depth, line
+
+
+def test_ohtani_runs_between_an_open_pass_and_the_scan(corpus6,
+                                                       monkeypatch):
+    # the ladder of a connected graph, from an empty depth memo: no step
+    # when its graph interval closes; else the pass at topk 2 up to hi,
+    # Ohtani's lemma only while the pass leaves the interval open, and
+    # the squeeze last, seeded with what they leave. The graphs Ohtani's
+    # lemma asks for climb ladders of their own, not recorded here
+    steps = []      # (name, its arguments after the first, its result)
+    inside = 0      # calls nested in a recorded step are not recorded
+
+    def recording(owner, name):
+        real = getattr(owner, name)
+
+        def wrapped(*args):
+            nonlocal inside
+            inside += 1
+            try:
+                out = real(*args)
+            finally:
+                inside -= 1
+            if not inside:
+                steps.append((name, args[1:], out))
+            return out
+        monkeypatch.setattr(owner, name, wrapped)
+
+    recording(homology, "_depth_lower_bound")
+    recording(lab, "_ohtani")
+    recording(lab, "hochster_depth")
+    ohtani = closed = 0
+    for g in corpus6:
+        lab._depth.cache_clear()
+        steps.clear()
+        lo, hi = lab._graph_interval(g)
+        lab.depth_JG(g)
+        if lo == hi:
+            assert steps == []
+            continue
+        names = [name for name, _, _ in steps]
+        assert names in (["_depth_lower_bound", "hochster_depth"],
+                         ["_depth_lower_bound", "_ohtani", "hochster_depth"])
+        _, (_, topk, cap), bound = steps[0]
+        _, (_, seed), _ = steps[-1]
+        assert (topk, cap) == (2, hi)
+        lo = max(lo, bound)
+        if names[1] == "_ohtani":
+            assert lo < hi and steps[1][1][1:] == (lo, hi)
+            assert seed == steps[1][2]
+            ohtani += 1
+        else:
+            assert lo == hi and seed == (lo, hi)
+            closed += 1
+    assert ohtani and closed
 
 
 def test_depth_equality_asks_each_graph_once(fig, monkeypatch):
     # the example's own depth is asked at every cut vertex, and one
     # whiskered side is the same graph at two of them: six graphs in all,
     # one of which closes on its graph interval, so five squeezes. The
-    # 9-vertex side two at v = 8, Hh@RoK@, stays open after the passes at
-    # topk 1 and 2, and Ohtani's lemma at a non-free vertex asks for four
+    # 9-vertex side two at v = 8, Hh@RoK@, stays open after its pass at
+    # topk 2, and Ohtani's lemma at a non-free vertex asks for four
     # more graphs: its saturation HxBvwK@, the two components of its
     # deletion, a lone vertex (@), which closes on its graph interval, and
     # FawWG, and the deleted saturation GgzwWC. Eight squeezes, none of
